@@ -9,6 +9,9 @@
 //! * with `--baseline-out PATH`, writes all reports as a baseline file,
 //! * with `--check BASELINE`, compares fresh medians against the committed
 //!   baseline and exits with status 1 on a >25% median slowdown,
+//! * with `--serving`, exits with status 1 (after writing the reports) when
+//!   a cached query or a binary-codec ingest is more than 25% slower than
+//!   its strict or JSON counterpart (skipped on a single CPU),
 //! * with `--guard-only` (plus `--json` and `--check`), skips measuring and
 //!   only replays the guard against reports already on disk — this is how
 //!   CI separates the measurement step from the gating step.
@@ -21,7 +24,7 @@ use skm_bench::report::{
     compare_reports, measure_workload, write_baseline, write_reports, BaselineFile, WorkloadReport,
 };
 use skm_bench::scenarios::measure_scenarios_workload;
-use skm_bench::serving::measure_serving_workload;
+use skm_bench::serving::{check_serving_ratios, measure_serving_workload};
 use skm_bench::sharded::measure_sharded_workload;
 use skm_bench::{BenchArgs, DatasetSpec};
 use std::path::Path;
@@ -158,6 +161,9 @@ fn main() -> ExitCode {
         }
     } else {
         let mut reports = Vec::new();
+        // Reported only after the reports are written, so a failing run
+        // still leaves its BENCH_serving.json behind.
+        let mut serving_failure = None;
         for spec in &specs {
             match measure_workload(*spec, args.points, args.k, args.seed) {
                 Ok(report) => {
@@ -186,6 +192,13 @@ fn main() -> ExitCode {
             match measure_serving_workload(args.points, args.k, args.seed) {
                 Ok(report) => {
                     print_summary(&report);
+                    let cores =
+                        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+                    if cores > 1 {
+                        serving_failure = check_serving_ratios(&report.algorithms).err();
+                    } else {
+                        eprintln!("serving ratio check skipped: it needs more than one CPU");
+                    }
                     reports.push(report);
                 }
                 Err(e) => {
@@ -245,6 +258,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             println!("wrote baseline {path}");
+        }
+        if let Some(e) = serving_failure {
+            eprintln!("serving ratio check failed: {e}");
+            return ExitCode::FAILURE;
         }
         reports
     };

@@ -90,6 +90,9 @@ const SHARDS: usize = 2;
 /// Connections of the tenancy-grid cells.
 const TENANCY_CONNS: usize = 4;
 
+/// Largest ratio [`check_serving_ratios`] accepts.
+pub const MAX_SERVING_RATIO: f64 = 1.25;
+
 /// One measured cell of the serving grid.
 #[derive(Debug, Clone, Copy)]
 struct Cell {
@@ -140,6 +143,62 @@ fn cells() -> Vec<Cell> {
         }
     }
     cells
+}
+
+/// Checks the serving grid's two relative targets, each within
+/// [`MAX_SERVING_RATIO`]:
+///
+/// 1. the published read path: at json/conns=4, where strict queries
+///    contend with three ingesting connections, the cached query median
+///    does not exceed the strict one;
+/// 2. the binary codec: at 64 connections its ingest median does not
+///    exceed newline-JSON's.
+///
+/// Meant for release builds on more than one CPU: debug-build timings,
+/// or a single CPU where scheduler waits dominate every round trip, swamp
+/// both comparisons.
+///
+/// # Errors
+/// Describes every ratio above the bound, or a cell missing from `cells`.
+pub fn check_serving_ratios(cells: &[AlgorithmReport]) -> std::result::Result<(), String> {
+    let cell = |codec, connections, freshness| {
+        let name = Cell {
+            codec,
+            tenants: 1,
+            connections,
+            freshness,
+        }
+        .name();
+        cells
+            .iter()
+            .find(|c| c.algorithm == name)
+            .ok_or_else(|| format!("serving report lacks cell `{name}`"))
+    };
+    let json = CodecKind::Json;
+    let cached = cell(json, TENANCY_CONNS, Freshness::Cached)?;
+    let strict = cell(json, TENANCY_CONNS, Freshness::Strict)?;
+    let binary_64 = cell(CodecKind::Binary, 64, Freshness::Strict)?;
+    let json_64 = cell(json, 64, Freshness::Strict)?;
+    let ratios = [
+        (
+            "cached/strict query median at json conns=4",
+            cached.query_ns.median_ns / strict.query_ns.median_ns,
+        ),
+        (
+            "binary/json ingest median at conns=64",
+            binary_64.update_ns.median_ns / json_64.update_ns.median_ns,
+        ),
+    ];
+    let failures: Vec<String> = ratios
+        .iter()
+        .filter(|(_, ratio)| *ratio > MAX_SERVING_RATIO)
+        .map(|(what, ratio)| format!("{what} is {ratio:.2} (limit {MAX_SERVING_RATIO})"))
+        .collect();
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; "))
+    }
 }
 
 /// Stream length used for the serving cells: capped so the CI smoke run
@@ -322,35 +381,36 @@ mod tests {
             assert!(cell.final_cost.is_finite(), "{}", cell.algorithm);
             assert!(cell.peak_memory_bytes > 0, "{}", cell.algorithm);
         }
-        // Tripwires, gated on spare cores: on a single-CPU machine every
-        // round trip is dominated by scheduler waits, which swamps both
-        // comparisons. Each gets generous slack so runner jitter cannot
-        // flake the suite — the real acceptance targets are read off the
-        // emitted BENCH_serving.json on CI hardware.
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        if cores > 1 {
-            // 1. The published read path: cached queries never wait on
-            //    ingestion (only meaningful at conns=4 where strict queries
-            //    structurally contend with three ingesting connections).
-            let strict_cell = &report.algorithms[1]; // json/tenants=1/conns=4/strict
-            let cached_cell = &report.algorithms[6]; // json/tenants=1/conns=4/cached
-            assert!(
-                cached_cell.query_ns.median_ns <= 1.25 * strict_cell.query_ns.median_ns,
-                "cached median {} ns should not exceed strict median {} ns by >25%",
-                cached_cell.query_ns.median_ns,
-                strict_cell.query_ns.median_ns,
-            );
-            // 2. The binary codec: at 64 connections the length-prefixed
-            //    framing must not lose to newline-JSON (the acceptance
-            //    target is an outright win; the tripwire allows 25%).
-            let json = &report.algorithms[2]; // json/conns=64
-            let binary = &report.algorithms[5]; // binary/conns=64
-            assert!(
-                binary.update_ns.median_ns <= 1.25 * json.update_ns.median_ns,
-                "binary ingest median {} ns should not exceed json median {} ns by >25% at 64 connections",
-                binary.update_ns.median_ns,
-                json.update_ns.median_ns,
-            );
-        }
+        // The timing ratios are gated on the release `skm-bench --serving`
+        // run, not here: a debug build's medians are too noisy to compare.
+    }
+
+    #[test]
+    fn serving_ratio_check_flags_each_slow_path() {
+        let cell = |cell: Cell, update_ns: f64, query_ns: f64| AlgorithmReport {
+            algorithm: cell.name(),
+            update_ns: LatencySummary::from_samples(&[update_ns]).unwrap(),
+            query_ns: LatencySummary::from_samples(&[query_ns]).unwrap(),
+            peak_memory_bytes: 1,
+            final_cost: 1.0,
+        };
+        let report = |cached_query: f64, binary_ingest: f64| -> Vec<AlgorithmReport> {
+            cells()
+                .into_iter()
+                .map(|c| match (c.codec, c.connections, c.freshness) {
+                    (CodecKind::Json, 4, Freshness::Cached) => cell(c, 100.0, cached_query),
+                    (CodecKind::Binary, 64, _) => cell(c, binary_ingest, 100.0),
+                    _ => cell(c, 100.0, 100.0),
+                })
+                .collect()
+        };
+        assert!(check_serving_ratios(&report(125.0, 125.0)).is_ok());
+        let slow_cached = check_serving_ratios(&report(126.0, 50.0)).unwrap_err();
+        assert!(slow_cached.contains("cached/strict"), "{slow_cached}");
+        let slow_binary = check_serving_ratios(&report(50.0, 126.0)).unwrap_err();
+        assert!(slow_binary.contains("binary/json"), "{slow_binary}");
+        assert!(check_serving_ratios(&[])
+            .unwrap_err()
+            .contains("lacks cell"));
     }
 }

@@ -22,20 +22,23 @@ use skm_clustering::{Centers, PointBlock, PointSet};
 /// Validates one arriving stream point against an optional known stream
 /// dimension, returning the (possibly newly learned) dimension on success.
 ///
-/// Shared by [`BucketBuffer`] and the sharded ingestion coordinator so
-/// both reject empty, wrong-dimension and non-finite points identically —
-/// and, crucially, without committing any state for rejected input (the
-/// caller stores the returned dimension only after validation succeeds, so
-/// a rejected first point cannot lock in a bogus stream dimension).
+/// Shared by [`BucketBuffer`], the sharded ingestion coordinator and the
+/// serving engine's write-ahead path so all of them reject empty,
+/// wrong-dimension and non-finite points identically — and, crucially,
+/// without committing any state for rejected input (the caller stores the
+/// returned dimension only after validation succeeds, so a rejected first
+/// point cannot lock in a bogus stream dimension).
 ///
 /// `index` is the point's position within the batch being validated
 /// (0 for single-point pushes); it is reported in
 /// [`ClusteringError::NonFiniteCoordinate`].
-pub(crate) fn validate_stream_point(
-    dim: Option<usize>,
-    point: &[f64],
-    index: usize,
-) -> Result<usize> {
+///
+/// # Errors
+/// [`ClusteringError::InvalidParameter`] for an empty point,
+/// [`ClusteringError::DimensionMismatch`] when `point` disagrees with
+/// `dim`, and [`ClusteringError::NonFiniteCoordinate`] for a NaN or
+/// infinite coordinate.
+pub fn validate_stream_point(dim: Option<usize>, point: &[f64], index: usize) -> Result<usize> {
     if point.is_empty() {
         return Err(ClusteringError::InvalidParameter {
             name: "point",

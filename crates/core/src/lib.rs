@@ -82,6 +82,7 @@ pub use clustream::CluStream;
 pub use config::StreamConfig;
 pub use ct::CoresetTreeClusterer;
 pub use decay::DecayedSequentialKMeans;
+pub use driver::validate_stream_point;
 pub use kmedian_stream::KMedianCC;
 pub use online_cc::OnlineCC;
 pub use publish::{ClusteringResult, PublishSlot, PublishedClustering, WindowInfo};

@@ -33,7 +33,7 @@
 //! no request-visible critical section.
 
 use crate::clusterer::QueryStats;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use skm_clustering::Centers;
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -83,7 +83,7 @@ pub struct ClusteringResult {
 /// Serializable so engine snapshots can persist the currently published
 /// value: a restored engine republishes the same epoch and centers instead
 /// of starting readers from an empty slot.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PublishedClustering {
     /// Publish sequence number: 1 for the first publish of a slot, and
     /// strictly increasing afterwards (restores continue the sequence).
@@ -98,6 +98,10 @@ pub struct PublishedClustering {
     /// Diagnostics of the query that produced this answer.
     pub stats: QueryStats,
     /// The time window this answer covers (`None` = the whole stream).
+    /// Omitted when absent, so whole-stream snapshots keep their pre-window
+    /// byte layout and snapshots written before windows existed restore
+    /// cleanly.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub window: Option<WindowInfo>,
 }
 
@@ -112,47 +116,6 @@ impl PublishedClustering {
             stats: result.stats,
             window: result.window,
         }
-    }
-}
-
-// Serialization is hand-written (not derived) so the `window` field is
-// *omitted* when absent: whole-stream snapshots keep their pre-window byte
-// layout, and snapshots written before windows existed restore cleanly
-// (a missing `window` field reads back as `None`).
-impl Serialize for PublishedClustering {
-    fn to_value(&self) -> Value {
-        let mut map = vec![
-            ("epoch".to_string(), self.epoch.to_value()),
-            ("centers".to_string(), self.centers.to_value()),
-            ("cost".to_string(), self.cost.to_value()),
-            ("points_seen".to_string(), self.points_seen.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-        ];
-        if let Some(window) = &self.window {
-            map.push(("window".to_string(), window.to_value()));
-        }
-        Value::Map(map)
-    }
-}
-
-impl Deserialize for PublishedClustering {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let map = match value {
-            Value::Map(m) => m,
-            _ => return Err(serde::Error::custom("expected map for PublishedClustering")),
-        };
-        let window = match map.iter().find(|(k, _)| k == "window") {
-            Some((_, Value::Null)) | None => None,
-            Some((_, v)) => Some(WindowInfo::from_value(v)?),
-        };
-        Ok(Self {
-            epoch: Deserialize::from_value(serde::get_field(map, "epoch")?)?,
-            centers: Deserialize::from_value(serde::get_field(map, "centers")?)?,
-            cost: Deserialize::from_value(serde::get_field(map, "cost")?)?,
-            points_seen: Deserialize::from_value(serde::get_field(map, "points_seen")?)?,
-            stats: Deserialize::from_value(serde::get_field(map, "stats")?)?,
-            window,
-        })
     }
 }
 

@@ -1062,6 +1062,9 @@ mod tests {
             },
             ReplicationRecord::Query {},
             ReplicationRecord::Stats {},
+            ReplicationRecord::QueryWindow {
+                last_points: 1 << 53,
+            },
         ];
         for record in records {
             let payload = encode_replication_record(&record);

@@ -9,8 +9,9 @@
 use crate::engine::{BackendKind, Engine, EngineSpec, FollowerStatus};
 use crate::protocol::{
     error_response, is_bare_name, validate_namespace, ErrorCode, Freshness, Request, Response,
-    TenantConfig, Window, WindowSpec, DEFAULT_NAMESPACE, MAX_BATCH_POINTS,
+    TenantConfig, Window, WindowSpec, DEFAULT_NAMESPACE, MAX_BATCH_POINTS, MAX_K,
 };
+use skm_stream::shard::MAX_SHARDS;
 use skm_stream::StreamConfig;
 use std::path::Path;
 
@@ -238,6 +239,22 @@ fn refuse_on_follower(request: &Request, follower: &FollowerStatus) -> Option<Re
 /// Builds a per-tenant spec from the engine's default spec plus the
 /// request's overrides, and creates the tenant.
 fn configure_tenant(engine: &Engine, namespace: &str, config: &TenantConfig) -> Response {
+    // Out-of-range sizes are client errors, answered before anything is
+    // created: `StreamConfig::new` panics on `k == 0`, and an oversized
+    // `k` or `batch` would only fail later, as an allocation that aborts
+    // the whole process on the tenant's first ingest or strict query.
+    for (name, value, max) in [
+        ("k", config.k, MAX_K),
+        ("shards", config.shards, MAX_SHARDS),
+        ("batch", config.batch, MAX_BATCH_POINTS),
+    ] {
+        if let Some(v) = value.filter(|&v| v == 0 || v > max) {
+            return Response::Error {
+                code: ErrorCode::MalformedRequest,
+                message: format!("{name} must be in 1..={max}, got {v}"),
+            };
+        }
+    }
     let mut spec: EngineSpec = *engine.default_spec();
     if let Some(tag) = &config.backend {
         match BackendKind::parse(tag) {
@@ -253,14 +270,6 @@ fn configure_tenant(engine: &Engine, namespace: &str, config: &TenantConfig) -> 
         }
     }
     if let Some(k) = config.k {
-        // `StreamConfig::new` panics on k == 0; answer with a typed error
-        // instead.
-        if k == 0 {
-            return Response::Error {
-                code: ErrorCode::MalformedRequest,
-                message: "k must be positive".to_string(),
-            };
-        }
         // Re-derive the k-dependent defaults (bucket size) for the new k
         // instead of keeping the default spec's.
         let fresh = StreamConfig::new(k);

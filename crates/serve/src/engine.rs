@@ -53,8 +53,9 @@ use crate::protocol::{
 use serde::{Deserialize, Serialize};
 use skm_clustering::error::{ClusteringError, Result};
 use skm_stream::{
-    CachedCoresetTree, CoresetTreeClusterer, PublishSlot, PublishedClustering, RecursiveCachedTree,
-    ShardedStream, ShardedStreamState, StreamConfig, StreamStats, StreamingClusterer, WindowInfo,
+    validate_stream_point, CachedCoresetTree, CoresetTreeClusterer, PublishSlot,
+    PublishedClustering, RecursiveCachedTree, ShardedStream, ShardedStreamState, StreamConfig,
+    StreamStats, StreamingClusterer, WindowInfo,
 };
 use skm_wal::{Wal, WalError, WalOptions};
 use std::collections::{HashMap, VecDeque};
@@ -1236,28 +1237,12 @@ impl Engine {
             let clusterer = backend.clusterer();
             let before = clusterer.points_seen();
             if let Some(wal) = &tenant.wal {
-                // Log-before-apply. Validation is pulled forward (mirroring
-                // the stream drivers' checks) so only records the backend
+                // Log-before-apply. Validation is pulled forward (the
+                // stream drivers' own check) so only records the backend
                 // will accept are logged — the log and the applied state
                 // stay in lockstep. Without a WAL the backend validates
                 // itself and behavior is unchanged.
-                if point.is_empty() {
-                    return Err(ClusteringError::InvalidParameter {
-                        name: "point",
-                        message: "points must have at least one dimension".to_string(),
-                    });
-                }
-                if let Some(d) = clusterer.dim() {
-                    if d != point.len() {
-                        return Err(ClusteringError::DimensionMismatch {
-                            expected: d,
-                            got: point.len(),
-                        });
-                    }
-                }
-                if point.iter().any(|x| !x.is_finite()) {
-                    return Err(ClusteringError::NonFiniteCoordinate { index: 0 });
-                }
+                validate_stream_point(clusterer.dim(), point, 0)?;
                 Self::wal_append(
                     wal,
                     &ReplicationRecord::Ingest {
@@ -1326,24 +1311,7 @@ impl Engine {
             // reject atomically at the serving layer.
             let mut dim = clusterer.dim();
             for (index, point) in refs.iter().enumerate() {
-                if point.is_empty() {
-                    return Err(ClusteringError::InvalidParameter {
-                        name: "point",
-                        message: "points must have at least one dimension".to_string(),
-                    });
-                }
-                if let Some(d) = dim {
-                    if d != point.len() {
-                        return Err(ClusteringError::DimensionMismatch {
-                            expected: d,
-                            got: point.len(),
-                        });
-                    }
-                }
-                if point.iter().any(|x| !x.is_finite()) {
-                    return Err(ClusteringError::NonFiniteCoordinate { index });
-                }
-                dim = Some(point.len());
+                dim = Some(validate_stream_point(dim, point, index)?);
             }
             if let Some(wal) = &tenant.wal {
                 // The whole batch passed validation above; log it as one

@@ -50,6 +50,11 @@ use skm_stream::{QueryStats, StreamStats, WindowInfo};
 /// bounding per-request memory; clients should split their load instead.
 pub const MAX_BATCH_POINTS: usize = 4096;
 
+/// Maximum `k` a `Configure` request may ask for. Each tenant reserves a
+/// whole base bucket of `20·k` points on its first ingest, so `k` bounds
+/// per-tenant memory; the paper's experiments stay at `k <= 50`.
+pub const MAX_K: usize = 1024;
+
 /// Maximum accepted request-line length in bytes. A line that reaches this
 /// limit without a terminating `\n` is answered with
 /// [`ErrorCode::LineTooLong`] and the connection is closed (there is no way
@@ -190,11 +195,13 @@ impl serde::Deserialize for Freshness {
 /// [`ErrorCode::BadWindow`] instead of a generic parse failure. Fields of
 /// the wrong *type* (a string where a number belongs) are malformed
 /// requests, as everywhere else in the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct WindowSpec {
     /// Window over the most recent N stream points.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub last_points: Option<i128>,
     /// Window over the points that arrived in the last T seconds.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub last_secs: Option<f64>,
 }
 
@@ -271,73 +278,6 @@ impl WindowSpec {
     }
 }
 
-impl serde::Serialize for WindowSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = Vec::new();
-        if let Some(n) = self.last_points {
-            let v = if n >= 0 {
-                // lint:allow(panic-freedom) non-negative i128 fits u128
-                serde::Value::UInt(u128::try_from(n).expect("non-negative"))
-            } else {
-                serde::Value::Int(i64::try_from(n).unwrap_or(i64::MIN))
-            };
-            fields.push(("last_points".to_string(), v));
-        }
-        if let Some(t) = self.last_secs {
-            fields.push(("last_secs".to_string(), serde::Value::Float(t)));
-        }
-        serde::Value::Map(fields)
-    }
-}
-
-impl serde::Deserialize for WindowSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = match value {
-            serde::Value::Map(m) => m,
-            _ => return Err(serde::Error::custom("expected map for window")),
-        };
-        let mut spec = WindowSpec::default();
-        for (key, v) in map {
-            match key.as_str() {
-                "last_points" => {
-                    spec.last_points = Some(match v {
-                        serde::Value::UInt(u) => i128::try_from(*u)
-                            .map_err(|_| serde::Error::custom("window last_points out of range"))?,
-                        serde::Value::Int(i) => i128::from(*i),
-                        serde::Value::Null => continue,
-                        _ => {
-                            return Err(serde::Error::custom(
-                                "expected integer for window last_points",
-                            ))
-                        }
-                    });
-                }
-                "last_secs" => {
-                    spec.last_secs = Some(match v {
-                        serde::Value::Float(f) => *f,
-                        // Integer seconds are accepted (JSON `5` vs `5.0`
-                        // is an encoder choice, not a semantic one).
-                        #[allow(clippy::cast_precision_loss)]
-                        serde::Value::UInt(u) => *u as f64,
-                        #[allow(clippy::cast_precision_loss)]
-                        serde::Value::Int(i) => *i as f64,
-                        serde::Value::Null => continue,
-                        _ => {
-                            return Err(serde::Error::custom(
-                                "expected number for window last_secs",
-                            ))
-                        }
-                    });
-                }
-                // Unknown keys are ignored, like everywhere else in the
-                // protocol (forward compatibility).
-                _ => {}
-            }
-        }
-        Ok(spec)
-    }
-}
-
 /// One logged state mutation of a tenant stream: the unit of write-ahead
 /// logging and of primary→follower replication.
 ///
@@ -381,24 +321,34 @@ pub enum ReplicationRecord {
 /// Per-tenant engine settings carried by [`Request::Configure`]. Every
 /// field is optional; an omitted field keeps the server's default for that
 /// setting.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantConfig {
     /// Number of cluster centers `k` (derived settings such as the bucket
     /// size follow the paper defaults for this `k`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub k: Option<usize>,
     /// Backend tag: `sharded-cc` (default), `cc`, `ct` or `rcc`.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub backend: Option<String>,
     /// Shard worker count (sharded backend only).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub shards: Option<usize>,
     /// Points buffered per shard before a batch ships (sharded backend).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub batch: Option<usize>,
     /// Master RNG seed for this tenant.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
 }
 
 /// A client request (one frame: a JSON line, or a length-prefixed binary
 /// message after a binary handshake).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// On the wire every variant is externally tagged and its fields are
+/// written in declaration order. Optional fields are left out when absent,
+/// and an omitted field reads the same as an explicit `null`, so a request
+/// that opts into no newer feature is byte-for-byte its oldest wire shape.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Negotiate the connection codec. Only valid as the **first** frame on
     /// a connection, always sent in JSON; the connection switches to the
@@ -416,6 +366,7 @@ pub enum Request {
         /// The point's coordinates; must match the stream dimension.
         point: Vec<f64>,
         /// Tenant stream; `None` means [`DEFAULT_NAMESPACE`].
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         namespace: Option<String>,
     },
     /// Ingest a batch of points atomically: either every point is accepted
@@ -426,27 +377,34 @@ pub enum Request {
         /// [`MAX_BATCH_POINTS`] of them.
         points: Vec<Vec<f64>>,
         /// Tenant stream; `None` means [`DEFAULT_NAMESPACE`].
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         namespace: Option<String>,
     },
     /// Ask for the current k cluster centers.
     Query {
         /// Read path: strict (default) or cached.
+        #[serde(default)]
         freshness: Freshness,
         /// Tenant stream; `None` means [`DEFAULT_NAMESPACE`].
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         namespace: Option<String>,
         /// Time-scoped window (revision 1.5); `None` means the whole
         /// stream — byte-for-byte the pre-1.5 wire shape and semantics.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         window: Option<WindowSpec>,
     },
     /// Ask for ingestion statistics.
     Stats {
         /// Read path: strict (default) or cached.
+        #[serde(default)]
         freshness: Freshness,
         /// Tenant stream; `None` means [`DEFAULT_NAMESPACE`].
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         namespace: Option<String>,
         /// Time-scoped window (revision 1.5): reports how many points the
         /// stored summaries would cover for that window. `None` means the
         /// whole stream — the pre-1.5 wire shape and semantics.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         window: Option<WindowSpec>,
     },
     /// Create a tenant with non-default settings. Only valid before the
@@ -456,8 +414,11 @@ pub enum Request {
     /// answered with [`ErrorCode::TenantExists`].
     Configure {
         /// Tenant to create; `None` means [`DEFAULT_NAMESPACE`].
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         namespace: Option<String>,
-        /// The settings to apply (each omitted field keeps the default).
+        /// The settings to apply (each omitted field keeps the default),
+        /// written next to `namespace` rather than nested.
+        #[serde(flatten)]
         config: TenantConfig,
     },
     /// Persist one tenant's engine state to `file` inside the server's
@@ -467,6 +428,7 @@ pub enum Request {
         /// directory.
         file: String,
         /// Tenant to snapshot; `None` means [`DEFAULT_NAMESPACE`].
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         namespace: Option<String>,
     },
     /// Stop the server: the connection is answered with [`Response::Bye`]
@@ -481,176 +443,20 @@ pub enum Request {
     /// the primary to run with a WAL ([`ErrorCode::ReplicationLag`]
     /// otherwise).
     Replicate {
-        /// Tenant stream to follow; `None` means [`DEFAULT_NAMESPACE`].
-        namespace: Option<String>,
-        /// First sequence number the follower still needs; `0` requests a
-        /// fresh snapshot unconditionally.
+        /// First sequence number the follower still needs; `0` (also what
+        /// an omitted field means) requests a fresh snapshot
+        /// unconditionally.
+        #[serde(default)]
         from_seq: u64,
+        /// Tenant stream to follow; `None` means [`DEFAULT_NAMESPACE`].
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        namespace: Option<String>,
     },
 }
 
-/// Hand-written serializer: optional fields (`namespace`, the `Configure`
-/// settings) are omitted when `None`, so a request that does not opt into
-/// tenancy is byte-for-byte the pre-tenancy wire shape.
-impl serde::Serialize for Request {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        fn variant(tag: &str, fields: Vec<(String, Value)>) -> Value {
-            Value::Map(vec![(tag.to_string(), Value::Map(fields))])
-        }
-        fn push_opt<T: Serialize>(fields: &mut Vec<(String, Value)>, key: &str, opt: &Option<T>) {
-            if let Some(v) = opt {
-                fields.push((key.to_string(), v.to_value()));
-            }
-        }
-        match self {
-            Request::Hello { codec } => {
-                variant("Hello", vec![("codec".to_string(), codec.to_value())])
-            }
-            Request::Ingest { point, namespace } => {
-                let mut fields = vec![("point".to_string(), point.to_value())];
-                push_opt(&mut fields, "namespace", namespace);
-                variant("Ingest", fields)
-            }
-            Request::IngestBatch { points, namespace } => {
-                let mut fields = vec![("points".to_string(), points.to_value())];
-                push_opt(&mut fields, "namespace", namespace);
-                variant("IngestBatch", fields)
-            }
-            Request::Query {
-                freshness,
-                namespace,
-                window,
-            } => {
-                let mut fields = vec![("freshness".to_string(), freshness.to_value())];
-                push_opt(&mut fields, "namespace", namespace);
-                push_opt(&mut fields, "window", window);
-                variant("Query", fields)
-            }
-            Request::Stats {
-                freshness,
-                namespace,
-                window,
-            } => {
-                let mut fields = vec![("freshness".to_string(), freshness.to_value())];
-                push_opt(&mut fields, "namespace", namespace);
-                push_opt(&mut fields, "window", window);
-                variant("Stats", fields)
-            }
-            Request::Configure { namespace, config } => {
-                let mut fields = Vec::new();
-                push_opt(&mut fields, "namespace", namespace);
-                push_opt(&mut fields, "k", &config.k);
-                push_opt(&mut fields, "backend", &config.backend);
-                push_opt(&mut fields, "shards", &config.shards);
-                push_opt(&mut fields, "batch", &config.batch);
-                push_opt(&mut fields, "seed", &config.seed);
-                variant("Configure", fields)
-            }
-            Request::Snapshot { file, namespace } => {
-                let mut fields = vec![("file".to_string(), file.to_value())];
-                push_opt(&mut fields, "namespace", namespace);
-                variant("Snapshot", fields)
-            }
-            Request::Shutdown {} => variant("Shutdown", Vec::new()),
-            Request::Replicate {
-                namespace,
-                from_seq,
-            } => {
-                let mut fields = vec![("from_seq".to_string(), from_seq.to_value())];
-                push_opt(&mut fields, "namespace", namespace);
-                variant("Replicate", fields)
-            }
-        }
-    }
-}
-
-/// Hand-written deserializer (the vendored derive treats every field as
-/// required, but `freshness` and `namespace` must be optional so
-/// `{"Query":{}}` — the complete pre-freshness, pre-tenancy wire shape —
-/// keeps parsing as a strict default-namespace query).
-impl serde::Deserialize for Request {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = match value {
-            serde::Value::Map(entries) => entries,
-            _ => return Err(serde::Error::custom("expected variant for Request")),
-        };
-        let [(tag, inner)] = entries.as_slice() else {
-            return Err(serde::Error::custom("expected variant for Request"));
-        };
-        let map = match inner {
-            serde::Value::Map(m) => m,
-            _ => {
-                return Err(serde::Error::custom(format!(
-                    "expected map for variant {tag}"
-                )))
-            }
-        };
-        /// An omitted field and an explicit `null` both read as `None`.
-        fn opt_field<T: serde::Deserialize>(
-            map: &[(String, serde::Value)],
-            key: &str,
-        ) -> Result<Option<T>, serde::Error> {
-            match map.iter().find(|(k, _)| k == key) {
-                None => Ok(None),
-                Some((_, serde::Value::Null)) => Ok(None),
-                Some((_, v)) => T::from_value(v).map(Some),
-            }
-        }
-        let freshness = |map: &[(String, serde::Value)]| -> Result<Freshness, serde::Error> {
-            Ok(opt_field::<Freshness>(map, "freshness")?.unwrap_or_default())
-        };
-        match tag.as_str() {
-            "Hello" => Ok(Request::Hello {
-                codec: serde::Deserialize::from_value(serde::get_field(map, "codec")?)?,
-            }),
-            "Ingest" => Ok(Request::Ingest {
-                point: serde::Deserialize::from_value(serde::get_field(map, "point")?)?,
-                namespace: opt_field(map, "namespace")?,
-            }),
-            "IngestBatch" => Ok(Request::IngestBatch {
-                points: serde::Deserialize::from_value(serde::get_field(map, "points")?)?,
-                namespace: opt_field(map, "namespace")?,
-            }),
-            "Query" => Ok(Request::Query {
-                freshness: freshness(map)?,
-                namespace: opt_field(map, "namespace")?,
-                window: opt_field(map, "window")?,
-            }),
-            "Stats" => Ok(Request::Stats {
-                freshness: freshness(map)?,
-                namespace: opt_field(map, "namespace")?,
-                window: opt_field(map, "window")?,
-            }),
-            "Configure" => Ok(Request::Configure {
-                namespace: opt_field(map, "namespace")?,
-                config: TenantConfig {
-                    k: opt_field(map, "k")?,
-                    backend: opt_field(map, "backend")?,
-                    shards: opt_field(map, "shards")?,
-                    batch: opt_field(map, "batch")?,
-                    seed: opt_field(map, "seed")?,
-                },
-            }),
-            "Snapshot" => Ok(Request::Snapshot {
-                file: serde::Deserialize::from_value(serde::get_field(map, "file")?)?,
-                namespace: opt_field(map, "namespace")?,
-            }),
-            "Shutdown" => Ok(Request::Shutdown {}),
-            "Replicate" => Ok(Request::Replicate {
-                namespace: opt_field(map, "namespace")?,
-                from_seq: opt_field(map, "from_seq")?.unwrap_or(0),
-            }),
-            other => Err(serde::Error::custom(format!(
-                "unknown variant `{other}` for Request"
-            ))),
-        }
-    }
-}
-
 /// A server response (one frame: a JSON line, or a length-prefixed binary
-/// message after a binary handshake).
-#[derive(Debug, Clone, PartialEq)]
+/// message after a binary handshake). Encoded like [`Request`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// Answer to a [`Request::Hello`]: the handshake was accepted and the
     /// connection speaks `codec` from the next frame on.
@@ -688,6 +494,7 @@ pub enum Response {
         /// window of the published answer they served (which may be
         /// `None`). Omitted on the wire when absent, so pre-1.5 answers
         /// are byte-identical.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         window: Option<WindowInfo>,
     },
     /// Answer to a [`Request::Stats`].
@@ -697,6 +504,7 @@ pub enum Response {
         /// For windowed stats requests (revision 1.5): the resolved window
         /// and how many points the stored summaries cover for it. Omitted
         /// on the wire when absent.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         window: Option<WindowInfo>,
     },
     /// Answer to a [`Request::Configure`]: the tenant was created.
@@ -751,200 +559,6 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
     },
-}
-
-/// Hand-written serializer: the optional `window` field of `Centers` and
-/// `Stats` is omitted when `None`, so every answer a pre-1.5 exchange can
-/// elicit is byte-for-byte the pre-1.5 wire shape.
-impl serde::Serialize for Response {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        fn variant(tag: &str, fields: Vec<(String, Value)>) -> Value {
-            Value::Map(vec![(tag.to_string(), Value::Map(fields))])
-        }
-        fn field<T: Serialize>(key: &str, v: &T) -> (String, Value) {
-            (key.to_string(), v.to_value())
-        }
-        match self {
-            Response::Hello { codec, revision } => variant(
-                "Hello",
-                vec![field("codec", codec), field("revision", revision)],
-            ),
-            Response::Ingested {
-                accepted,
-                points_seen,
-            } => variant(
-                "Ingested",
-                vec![
-                    field("accepted", accepted),
-                    field("points_seen", points_seen),
-                ],
-            ),
-            Response::Centers {
-                centers,
-                points_seen,
-                epoch,
-                cost,
-                stats,
-                window,
-            } => {
-                let mut fields = vec![
-                    field("centers", centers),
-                    field("points_seen", points_seen),
-                    field("epoch", epoch),
-                    field("cost", cost),
-                    field("stats", stats),
-                ];
-                if let Some(w) = window {
-                    fields.push(field("window", w));
-                }
-                variant("Centers", fields)
-            }
-            Response::Stats { stats, window } => {
-                let mut fields = vec![field("stats", stats)];
-                if let Some(w) = window {
-                    fields.push(field("window", w));
-                }
-                variant("Stats", fields)
-            }
-            Response::Configured {
-                namespace,
-                backend,
-                k,
-                shards,
-            } => variant(
-                "Configured",
-                vec![
-                    field("namespace", namespace),
-                    field("backend", backend),
-                    field("k", k),
-                    field("shards", shards),
-                ],
-            ),
-            Response::Snapshotted { file, bytes } => variant(
-                "Snapshotted",
-                vec![field("file", file), field("bytes", bytes)],
-            ),
-            Response::Bye {} => variant("Bye", Vec::new()),
-            Response::ReplicaSnapshot {
-                seq,
-                epoch,
-                snapshot,
-            } => variant(
-                "ReplicaSnapshot",
-                vec![
-                    field("seq", seq),
-                    field("epoch", epoch),
-                    field("snapshot", snapshot),
-                ],
-            ),
-            Response::Replicate {
-                seq,
-                primary_seq,
-                record,
-            } => variant(
-                "Replicate",
-                vec![
-                    field("seq", seq),
-                    field("primary_seq", primary_seq),
-                    field("record", record),
-                ],
-            ),
-            Response::Error { code, message } => variant(
-                "Error",
-                vec![field("code", code), field("message", message)],
-            ),
-        }
-    }
-}
-
-/// Hand-written deserializer: an omitted (or `null`) `window` field reads
-/// as `None`, so pre-1.5 responses — and pre-1.5 recorded fixtures — keep
-/// parsing unchanged.
-impl serde::Deserialize for Response {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = match value {
-            serde::Value::Map(entries) => entries,
-            _ => return Err(serde::Error::custom("expected variant for Response")),
-        };
-        let [(tag, inner)] = entries.as_slice() else {
-            return Err(serde::Error::custom("expected variant for Response"));
-        };
-        let map = match inner {
-            serde::Value::Map(m) => m,
-            _ => {
-                return Err(serde::Error::custom(format!(
-                    "expected map for variant {tag}"
-                )))
-            }
-        };
-        fn req<T: serde::Deserialize>(
-            map: &[(String, serde::Value)],
-            key: &str,
-        ) -> Result<T, serde::Error> {
-            serde::Deserialize::from_value(serde::get_field(map, key)?)
-        }
-        fn opt<T: serde::Deserialize>(
-            map: &[(String, serde::Value)],
-            key: &str,
-        ) -> Result<Option<T>, serde::Error> {
-            match map.iter().find(|(k, _)| k == key) {
-                None => Ok(None),
-                Some((_, serde::Value::Null)) => Ok(None),
-                Some((_, v)) => T::from_value(v).map(Some),
-            }
-        }
-        match tag.as_str() {
-            "Hello" => Ok(Response::Hello {
-                codec: req(map, "codec")?,
-                revision: req(map, "revision")?,
-            }),
-            "Ingested" => Ok(Response::Ingested {
-                accepted: req(map, "accepted")?,
-                points_seen: req(map, "points_seen")?,
-            }),
-            "Centers" => Ok(Response::Centers {
-                centers: req(map, "centers")?,
-                points_seen: req(map, "points_seen")?,
-                epoch: req(map, "epoch")?,
-                cost: req(map, "cost")?,
-                stats: req(map, "stats")?,
-                window: opt(map, "window")?,
-            }),
-            "Stats" => Ok(Response::Stats {
-                stats: req(map, "stats")?,
-                window: opt(map, "window")?,
-            }),
-            "Configured" => Ok(Response::Configured {
-                namespace: req(map, "namespace")?,
-                backend: req(map, "backend")?,
-                k: req(map, "k")?,
-                shards: req(map, "shards")?,
-            }),
-            "Snapshotted" => Ok(Response::Snapshotted {
-                file: req(map, "file")?,
-                bytes: req(map, "bytes")?,
-            }),
-            "Bye" => Ok(Response::Bye {}),
-            "ReplicaSnapshot" => Ok(Response::ReplicaSnapshot {
-                seq: req(map, "seq")?,
-                epoch: req(map, "epoch")?,
-                snapshot: req(map, "snapshot")?,
-            }),
-            "Replicate" => Ok(Response::Replicate {
-                seq: req(map, "seq")?,
-                primary_seq: req(map, "primary_seq")?,
-                record: req(map, "record")?,
-            }),
-            "Error" => Ok(Response::Error {
-                code: req(map, "code")?,
-                message: req(map, "message")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "unknown variant `{other}` for Response"
-            ))),
-        }
-    }
 }
 
 /// Machine-readable failure classes carried by [`Response::Error`].
@@ -1275,6 +889,40 @@ mod tests {
             }
         );
         assert!(Request::from_line(r#"{"Replicate":{"from_seq":"nine"}}"#).is_err());
+    }
+
+    #[test]
+    fn a_repeated_key_reads_its_first_occurrence() {
+        // docs/PROTOCOL.md: if a key repeats within one object, the first
+        // occurrence is used — at every nesting level alike.
+        assert_eq!(
+            Request::from_line(r#"{"Ingest":{"point":[1],"namespace":"a","namespace":"b"}}"#)
+                .unwrap(),
+            Request::Ingest {
+                point: vec![1.0],
+                namespace: Some("a".to_string()),
+            }
+        );
+        for (line, window) in [
+            (
+                r#"{"Query":{"window":{"last_points":5,"last_points":6}}}"#,
+                WindowSpec::points(5),
+            ),
+            (
+                r#"{"Query":{"window":{"last_secs":1.5,"last_secs":null}}}"#,
+                WindowSpec::secs(1.5),
+            ),
+        ] {
+            assert_eq!(
+                Request::from_line(line).unwrap(),
+                Request::Query {
+                    freshness: Freshness::Strict,
+                    namespace: None,
+                    window: Some(window),
+                },
+                "{line}"
+            );
+        }
     }
 
     #[test]

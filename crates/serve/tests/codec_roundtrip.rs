@@ -7,10 +7,19 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use skm_serve::codec::{codec, CodecKind, MAX_FRAME_BYTES};
-use skm_serve::protocol::{ErrorCode, Freshness, Request, Response, TenantConfig, WindowSpec};
+use skm_serve::protocol::{
+    ErrorCode, Freshness, ReplicationRecord, Request, Response, TenantConfig, WindowSpec,
+};
 use skm_stream::{QueryStats, StreamStats, WindowInfo};
 
 const ROUNDS: usize = 64;
+
+/// Number of `Request` variants: a sweep over `0..REQUEST_VARIANTS` covers
+/// the whole enum.
+const REQUEST_VARIANTS: usize = 9;
+
+/// Number of `Response` variants.
+const RESPONSE_VARIANTS: usize = 10;
 
 /// Finite floats that survive a decimal JSON round trip exactly: dyadic
 /// rationals print with a finite decimal expansion.
@@ -77,9 +86,10 @@ fn stream_stats(rng: &mut ChaCha8Rng) -> StreamStats {
 }
 
 /// One value per `Request` variant, with randomized field contents; the
-/// `variant` index makes a sweep over `0..8` cover the whole enum.
+/// `variant` index makes a sweep over `0..REQUEST_VARIANTS` cover the whole
+/// enum.
 fn request(variant: usize, rng: &mut ChaCha8Rng) -> Request {
-    match variant % 8 {
+    match variant % REQUEST_VARIANTS {
         0 => Request::Hello {
             codec: if rng.gen_bool(0.5) { "json" } else { "binary" }.to_string(),
         },
@@ -115,7 +125,26 @@ fn request(variant: usize, rng: &mut ChaCha8Rng) -> Request {
             file: format!("snap-{}.json", rng.gen_range(0..100)),
             namespace: maybe_namespace(rng),
         },
-        _ => Request::Shutdown {},
+        7 => Request::Shutdown {},
+        _ => Request::Replicate {
+            from_seq: rng.gen_range(0..1_000_000),
+            namespace: maybe_namespace(rng),
+        },
+    }
+}
+
+/// One value per `ReplicationRecord` variant; `kind` selects it.
+fn replication_record(kind: usize, rng: &mut ChaCha8Rng) -> ReplicationRecord {
+    match kind % 5 {
+        0 => ReplicationRecord::Ingest { point: point(rng) },
+        1 => ReplicationRecord::IngestBatch {
+            points: (0..rng.gen_range(1..6)).map(|_| point(rng)).collect(),
+        },
+        2 => ReplicationRecord::Query {},
+        3 => ReplicationRecord::Stats {},
+        _ => ReplicationRecord::QueryWindow {
+            last_points: rng.gen_range(1..1_000_000),
+        },
     }
 }
 
@@ -139,9 +168,10 @@ const ERROR_CODES: [ErrorCode; 17] = [
     ErrorCode::BadWindow,
 ];
 
-/// One value per `Response` variant.
+/// One value per `Response` variant; successive sweeps over
+/// `0..RESPONSE_VARIANTS` cycle `Replicate` through every record variant.
 fn response(variant: usize, rng: &mut ChaCha8Rng) -> Response {
-    match variant % 8 {
+    match variant % RESPONSE_VARIANTS {
         0 => Response::Hello {
             codec: "binary".to_string(),
             revision: "1.3".to_string(),
@@ -173,9 +203,22 @@ fn response(variant: usize, rng: &mut ChaCha8Rng) -> Response {
             bytes: rng.gen_range(0..1_000_000),
         },
         6 => Response::Bye {},
-        _ => Response::Error {
+        7 => Response::Error {
             code: ERROR_CODES[rng.gen_range(0..ERROR_CODES.len())],
             message: format!("synthetic failure {}", rng.gen_range(0..1000)),
+        },
+        8 => Response::ReplicaSnapshot {
+            seq: rng.gen_range(0..1_000_000),
+            epoch: rng.gen_range(0..100),
+            snapshot: format!(
+                r#"{{"snapshot_version":3,"seq":{}}}"#,
+                rng.gen_range(0..100)
+            ),
+        },
+        _ => Response::Replicate {
+            seq: rng.gen_range(1..1_000_000),
+            primary_seq: rng.gen_range(1..2_000_000),
+            record: replication_record(variant / RESPONSE_VARIANTS, rng),
         },
     }
 }
@@ -201,6 +244,28 @@ where
         "{kind:?} frame left trailing bytes"
     );
     decode(&wire[frame.start..frame.end]).expect("decoding a freshly encoded value")
+}
+
+#[test]
+fn the_sweeps_cover_every_variant() {
+    use std::collections::HashSet;
+    use std::mem::discriminant;
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let requests: HashSet<_> = (0..ROUNDS)
+        .map(|v| discriminant(&request(v, &mut rng)))
+        .collect();
+    assert_eq!(requests.len(), REQUEST_VARIANTS);
+    let responses: Vec<Response> = (0..ROUNDS).map(|v| response(v, &mut rng)).collect();
+    let kinds: HashSet<_> = responses.iter().map(discriminant).collect();
+    assert_eq!(kinds.len(), RESPONSE_VARIANTS);
+    let records: HashSet<_> = responses
+        .iter()
+        .filter_map(|r| match r {
+            Response::Replicate { record, .. } => Some(discriminant(record)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(records.len(), 5, "every ReplicationRecord variant");
 }
 
 #[test]
@@ -241,7 +306,7 @@ fn every_response_variant_round_trips_through_both_codecs() {
 fn every_truncation_of_a_binary_frame_is_incomplete_not_garbage() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let c = codec(CodecKind::Binary);
-    for round in 0..8 {
+    for round in 0..REQUEST_VARIANTS {
         let mut wire = Vec::new();
         c.encode_request(&request(round, &mut rng), &mut wire);
         for cut in 0..wire.len() {
@@ -257,7 +322,7 @@ fn every_truncation_of_a_binary_frame_is_incomplete_not_garbage() {
 fn every_truncation_of_a_json_frame_is_incomplete_not_garbage() {
     let mut rng = ChaCha8Rng::seed_from_u64(8);
     let c = codec(CodecKind::Json);
-    for round in 0..8 {
+    for round in 0..REQUEST_VARIANTS {
         let mut wire = Vec::new();
         c.encode_request(&request(round, &mut rng), &mut wire);
         // Up to (not including) the newline, the frame must be incomplete.
@@ -304,7 +369,9 @@ fn pipelined_frames_on_one_buffer_come_back_in_order() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x91951);
     for kind in [CodecKind::Json, CodecKind::Binary] {
         let c = codec(kind);
-        let originals: Vec<Request> = (0..16).map(|v| request(v, &mut rng)).collect();
+        let originals: Vec<Request> = (0..2 * REQUEST_VARIANTS)
+            .map(|v| request(v, &mut rng))
+            .collect();
         let mut wire = Vec::new();
         for r in &originals {
             c.encode_request(r, &mut wire);

@@ -217,6 +217,78 @@ fn configure_creates_a_tenant_with_custom_settings_once() {
 }
 
 #[test]
+fn configure_rejects_out_of_range_sizes_as_malformed() {
+    // An oversized `k` or `batch` used to create the tenant, and its first
+    // ingest or strict query then aborted the whole server on a huge
+    // allocation; zero or too many shards came back as `Internal`. Nothing
+    // is ingested here, so a regression fails an assertion, not the
+    // process. Limits: k <= 1024, shards <= 256, batch <= 4096.
+    let handle = start_server();
+    let mut client = Client::builder(handle.addr())
+        .namespace("sized")
+        .connect()
+        .unwrap();
+    let oversized = [
+        TenantConfig {
+            k: Some(1 << 30),
+            ..TenantConfig::default()
+        },
+        TenantConfig {
+            k: Some(1025),
+            backend: Some("cc".to_string()),
+            ..TenantConfig::default()
+        },
+        TenantConfig {
+            batch: Some(1 << 40),
+            ..TenantConfig::default()
+        },
+        TenantConfig {
+            batch: Some(4097),
+            ..TenantConfig::default()
+        },
+        TenantConfig {
+            batch: Some(0),
+            ..TenantConfig::default()
+        },
+        TenantConfig {
+            shards: Some(0),
+            ..TenantConfig::default()
+        },
+        TenantConfig {
+            shards: Some(257),
+            ..TenantConfig::default()
+        },
+        TenantConfig {
+            shards: Some(100_000),
+            ..TenantConfig::default()
+        },
+    ];
+    for config in oversized {
+        expect_error(
+            client.configure(config).unwrap(),
+            ErrorCode::MalformedRequest,
+        );
+    }
+    // A rejected Configure creates nothing, and the limits themselves are
+    // accepted for the same namespace.
+    let at_limits = TenantConfig {
+        k: Some(1024),
+        shards: Some(1),
+        batch: Some(4096),
+        ..TenantConfig::default()
+    };
+    match client.configure(at_limits).unwrap() {
+        Response::Configured { k, shards, .. } => {
+            assert_eq!(k, 1024);
+            assert_eq!(shards, 1);
+        }
+        other => panic!("configure at the limits failed: {other:?}"),
+    }
+    client.shutdown().unwrap();
+    handle.shutdown().unwrap();
+}
+
+#[test]
 fn escaping_and_oversized_namespaces_get_the_typed_error() {
     let handle = start_server();
     let mut client = Client::connect(handle.addr()).unwrap();
