@@ -152,7 +152,24 @@ pub fn squared_norms(coords: &[f64], dim: usize) -> Vec<f64> {
 #[must_use]
 #[inline]
 pub fn sq_dist_block(x: &[f64], x_norm: f64, c: &[f64], c_norm: f64) -> f64 {
-    (x_norm - 2.0 * dot(x, c) + c_norm).max(0.0)
+    sq_dist_from_dot(x_norm, dot(x, c), c_norm)
+}
+
+/// [`sq_dist_block`] with the dot product `x·c` already computed, for loops
+/// that derive more than one value from it. Bit-identical to
+/// `sq_dist_block(x, x_norm, c, c_norm)` when `x_dot_c == dot(x, c)`.
+#[must_use]
+#[inline]
+pub(crate) fn sq_dist_from_dot(x_norm: f64, x_dot_c: f64, c_norm: f64) -> f64 {
+    (x_norm - 2.0 * x_dot_c + c_norm).max(0.0)
+}
+
+/// The partial score `‖c‖² − 2·x·c` that [`nearest_block_row`] minimizes:
+/// `‖x − c‖²` without the `‖x‖²` term, which is the same for every `c`.
+#[must_use]
+#[inline]
+pub(crate) fn nearest_score(c_norm: f64, x_dot_c: f64) -> f64 {
+    c_norm - 2.0 * x_dot_c
 }
 
 /// Fused nearest-row search over flat row-major `rows` with precomputed
@@ -179,16 +196,64 @@ pub fn nearest_block_row(
         return None;
     }
     debug_assert_eq!(rows.len(), row_norms.len() * dim, "norm cache mismatch");
-    let mut best_idx = 0;
-    let mut best_score = f64::INFINITY;
+    let mut nearest = Nearest::default();
     for (i, (c, &c_norm)) in rows.chunks_exact(dim).zip(row_norms).enumerate() {
-        let score = c_norm - 2.0 * dot(x, c);
-        if score < best_score {
-            best_score = score;
-            best_idx = i;
+        nearest.offer(i, nearest_score(c_norm, dot(x, c)));
+    }
+    Some((nearest.label, nearest.sq_dist(x_norm)))
+}
+
+/// Per-point state that a distance loop offers each center to, in center
+/// order, with its [`nearest_score`]. `()` tracks nothing and compiles away;
+/// [`Nearest`] keeps the argmin.
+pub(crate) trait Track: Clone + Default {
+    /// Offers center `center` at `score`.
+    fn offer(&mut self, center: usize, score: f64);
+}
+
+impl Track for () {
+    #[inline(always)]
+    fn offer(&mut self, _center: usize, _score: f64) {}
+}
+
+/// Running argmin of [`nearest_score`]: a strictly smaller score wins, so
+/// ties resolve to the first center offered. [`nearest_block_row`] and
+/// [`crate::kmeanspp::kmeanspp_assign_block`] share it, which keeps their
+/// labels and distances bit-identical.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Nearest {
+    /// Index of the best center so far (0 before any offer).
+    pub(crate) label: usize,
+    /// Its score (`+∞` before any offer).
+    pub(crate) score: f64,
+}
+
+impl Default for Nearest {
+    fn default() -> Self {
+        Self {
+            label: 0,
+            score: f64::INFINITY,
         }
     }
-    Some((best_idx, (x_norm + best_score).max(0.0)))
+}
+
+impl Track for Nearest {
+    #[inline(always)]
+    fn offer(&mut self, center: usize, score: f64) {
+        if score < self.score {
+            self.score = score;
+            self.label = center;
+        }
+    }
+}
+
+impl Nearest {
+    /// `‖x − c‖²` to the best center, given `‖x‖²`.
+    #[must_use]
+    #[inline]
+    pub(crate) fn sq_dist(&self, x_norm: f64) -> f64 {
+        (x_norm + self.score).max(0.0)
+    }
 }
 
 /// Fused variant of [`nearest_center`]: nearest center to `x` using the

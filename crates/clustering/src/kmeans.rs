@@ -76,7 +76,7 @@ impl KMeans {
     pub fn fit<R: Rng + ?Sized>(&self, points: &PointSet, rng: &mut R) -> Result<KMeansResult> {
         self.validate(points.is_empty())?;
         let norms = squared_norms(points.coords(), points.dim());
-        Ok(self.fit_view(BlockView::over(points, &norms), rng))
+        self.fit_view(BlockView::over(points, &norms), rng)
     }
 
     /// [`KMeans::fit`] over a [`PointBlock`], reusing its cached norms.
@@ -89,7 +89,7 @@ impl KMeans {
         rng: &mut R,
     ) -> Result<KMeansResult> {
         self.validate(block.is_empty())?;
-        Ok(self.fit_view(block.view(), rng))
+        self.fit_view(block.view(), rng)
     }
 
     fn validate(&self, empty_input: bool) -> Result<()> {
@@ -109,7 +109,7 @@ impl KMeans {
     }
 
     /// Fused-kernel core shared by [`KMeans::fit`] and [`KMeans::fit_block`].
-    fn fit_view<R: Rng + ?Sized>(&self, view: BlockView<'_>, rng: &mut R) -> KMeansResult {
+    fn fit_view<R: Rng + ?Sized>(&self, view: BlockView<'_>, rng: &mut R) -> Result<KMeansResult> {
         let lloyd_config = LloydConfig {
             max_iterations: self.max_lloyd_iterations,
             tolerance: self.tolerance,
@@ -117,7 +117,7 @@ impl KMeans {
 
         let mut best: Option<KMeansResult> = None;
         for _ in 0..self.runs {
-            let seeded = kmeanspp_view(view, self.k, rng);
+            let (seeded, _) = kmeanspp_view::<_, ()>(view, self.k, rng)?;
             let (centers, cost, iterations) = if self.max_lloyd_iterations == 0 {
                 let cost = crate::cost::kmeans_cost_view(view, &seeded);
                 (seeded, cost, 0)
@@ -135,7 +135,7 @@ impl KMeans {
                 _ => best = Some(candidate),
             }
         }
-        best.expect("runs >= 1")
+        Ok(best.expect("runs >= 1"))
     }
 }
 

@@ -13,7 +13,8 @@
 
 use crate::block::{BlockView, PointBlock};
 use crate::centers::Centers;
-use crate::distance::sq_dist_block;
+use crate::cost::Assignment;
+use crate::distance::{dot, nearest_score, sq_dist_from_dot, Nearest, Track};
 use crate::error::{ClusteringError, Result};
 use crate::point::PointSet;
 use crate::sampling::{uniform_index, weighted_index};
@@ -34,7 +35,8 @@ use rand::Rng;
 /// widely-used implementations.
 ///
 /// Each returned center carries the weight of the input point it was copied
-/// from (callers that need assignment mass should run [`crate::cost::assign`]).
+/// from (callers that need assignment mass should run [`crate::cost::assign`],
+/// or seed with [`kmeanspp_assign_block`]).
 ///
 /// This is a thin adapter over the fused kernel path: it computes a
 /// squared-norm cache once and delegates to the same core as
@@ -44,14 +46,9 @@ use rand::Rng;
 /// * [`ClusteringError::EmptyInput`] if `points` is empty.
 /// * [`ClusteringError::InvalidK`] if `k == 0`.
 pub fn kmeanspp<R: Rng + ?Sized>(points: &PointSet, k: usize, rng: &mut R) -> Result<Centers> {
-    if k == 0 {
-        return Err(ClusteringError::InvalidK { k });
-    }
-    if points.is_empty() {
-        return Err(ClusteringError::EmptyInput);
-    }
     let norms = crate::distance::squared_norms(points.coords(), points.dim());
-    Ok(kmeanspp_view(BlockView::over(points, &norms), k, rng))
+    let (centers, _) = kmeanspp_view::<_, ()>(BlockView::over(points, &norms), k, rng)?;
+    Ok(centers)
 }
 
 /// [`kmeanspp`] over a [`PointBlock`], reusing its cached squared norms so
@@ -64,69 +61,111 @@ pub fn kmeanspp_block<R: Rng + ?Sized>(
     k: usize,
     rng: &mut R,
 ) -> Result<Centers> {
-    if k == 0 {
-        return Err(ClusteringError::InvalidK { k });
-    }
-    if block.is_empty() {
-        return Err(ClusteringError::EmptyInput);
-    }
-    Ok(kmeanspp_view(block.view(), k, rng))
+    let (centers, _) = kmeanspp_view::<_, ()>(block.view(), k, rng)?;
+    Ok(centers)
 }
 
-/// Fused-kernel core of k-means++ seeding. The caller guarantees a
-/// non-empty view and `k > 0`.
+/// [`kmeanspp_block`] and then [`crate::cost::assign_block`] on the seeded
+/// centers, in one pass over the data: bit for bit the same centers,
+/// assignment and RNG position as the two calls.
+///
+/// Each seeding round derives both the D² update and the assignment score
+/// `‖c‖² − 2·x·c` from one dot product per point. The score is compared as
+/// [`crate::distance::nearest_block_row`] compares it (strict `<` in center
+/// order, so ties go to the first center), and cluster weights and cost sum
+/// in point order, as `assign_block` sums them.
+///
+/// # Errors
+/// Same failure modes as [`kmeanspp`].
+pub fn kmeanspp_assign_block<R: Rng + ?Sized>(
+    block: &PointBlock,
+    k: usize,
+    rng: &mut R,
+) -> Result<(Centers, Assignment)> {
+    let view = block.view();
+    let (centers, nearest) = kmeanspp_view::<_, Nearest>(view, k, rng)?;
+    let mut labels = Vec::with_capacity(nearest.len());
+    let mut cluster_weights = vec![0.0; centers.len()];
+    let mut cost = 0.0;
+    for ((_, w, x_norm), near) in view.iter().zip(&nearest) {
+        // Always `Some`: `Nearest` only ever holds an offered center index.
+        if let Some(mass) = cluster_weights.get_mut(near.label) {
+            *mass += w;
+        }
+        labels.push(near.label);
+        cost += w * near.sq_dist(x_norm);
+    }
+    let assignment = Assignment {
+        labels,
+        cost,
+        cluster_weights,
+    };
+    Ok((centers, assignment))
+}
+
+/// Fused-kernel core of k-means++ seeding: the centers, and each point's
+/// tracker after every center was offered to it.
 ///
 /// Every D² evaluation uses `‖x‖² − 2·x·c + ‖c‖²` with the point norm read
-/// from the view's cache and the center norm computed once per selected
-/// center, so the incremental distribution update costs one dot product per
-/// point per round.
-pub(crate) fn kmeanspp_view<R: Rng + ?Sized>(
+/// from the view's cache and the center norm read from the cache of the
+/// point it was copied from, so each round costs one dot product per point,
+/// which the tracker reuses.
+///
+/// # Errors
+/// [`ClusteringError::InvalidK`] if `k == 0`, then
+/// [`ClusteringError::EmptyInput`] if the view is empty.
+pub(crate) fn kmeanspp_view<R: Rng + ?Sized, T: Track>(
     view: BlockView<'_>,
     k: usize,
     rng: &mut R,
-) -> Centers {
+) -> Result<(Centers, Vec<T>)> {
+    if k == 0 {
+        return Err(ClusteringError::InvalidK { k });
+    }
+    if view.is_empty() {
+        return Err(ClusteringError::EmptyInput);
+    }
     let n = view.len();
-    let dim = view.dim();
     let k_eff = k.min(n);
-
-    let mut centers = Centers::with_capacity(dim, k_eff);
+    let mut centers = Centers::with_capacity(view.dim(), k_eff);
+    // dist2[i] = w(i) * D²(point i, chosen centers); updated incrementally as
+    // centers are added so seeding stays O(k d n).
+    let mut dist2 = Vec::with_capacity(n);
+    let mut tracks = vec![T::default(); n];
 
     // First center: sample proportionally to weight (uniform if all weights
     // are zero).
-    let first = weighted_index(view.weights(), rng)
-        .or_else(|| uniform_index(n, rng))
-        .expect("non-empty point set");
-    centers.push(view.point(first), view.weight(first));
-
-    // dist2[i] = w(i) * D²(point i, chosen centers); updated incrementally as
-    // centers are added so seeding stays O(k d n).
-    let first_norm = view.norm(first);
-    let first_center = centers.center(0);
-    let mut dist2: Vec<f64> = view
-        .iter()
-        .map(|(p, w, norm)| w * sq_dist_block(p, norm, first_center, first_norm))
-        .collect();
-
-    while centers.len() < k_eff {
-        let chosen = match weighted_index(&dist2, rng) {
-            Some(i) => i,
-            // All remaining mass is zero: every point coincides with an
-            // existing center. Fall back to uniform sampling so we still
-            // return k centers (duplicates are acceptable, cost is 0).
-            None => uniform_index(n, rng).expect("non-empty point set"),
-        };
-        let chosen_norm = view.norm(chosen);
-        centers.push(view.point(chosen), view.weight(chosen));
-        let new_center = centers.center(centers.len() - 1);
-        // Incremental update of the D² distribution through the fused kernel.
-        for (i, (p, w, norm)) in view.iter().enumerate() {
-            let d = w * sq_dist_block(p, norm, new_center, chosen_norm);
-            if d < dist2[i] {
-                dist2[i] = d;
+    let mut chosen = weighted_index(view.weights(), rng).or_else(|| uniform_index(n, rng));
+    while let Some(i) = chosen {
+        let j = centers.len();
+        let c_norm = view.norm(i);
+        centers.push(view.point(i), view.weight(i));
+        let center = centers.center(j);
+        let round = view.iter().zip(&mut tracks).map(|((p, w, x_norm), track)| {
+            let x_dot_c = dot(p, center);
+            track.offer(j, nearest_score(c_norm, x_dot_c));
+            w * sq_dist_from_dot(x_norm, x_dot_c, c_norm)
+        });
+        // The first center sets dist2; later ones can only lower it.
+        if j == 0 {
+            dist2.extend(round);
+        } else {
+            for (d, d2) in round.zip(&mut dist2) {
+                if d < *d2 {
+                    *d2 = d;
+                }
             }
         }
+        chosen = if centers.len() < k_eff {
+            // When all remaining mass is zero, every point coincides with an
+            // existing center. Fall back to uniform sampling so we still
+            // return k centers (duplicates are acceptable, cost is 0).
+            weighted_index(&dist2, rng).or_else(|| uniform_index(n, rng))
+        } else {
+            None
+        };
     }
-    centers
+    Ok((centers, tracks))
 }
 
 /// Runs k-means++ seeding `runs` times and returns the seeding with the
@@ -141,12 +180,6 @@ pub fn kmeanspp_best_of<R: Rng + ?Sized>(
     runs: usize,
     rng: &mut R,
 ) -> Result<Centers> {
-    if runs == 0 {
-        return Err(ClusteringError::InvalidParameter {
-            name: "runs",
-            message: "must be at least 1".to_string(),
-        });
-    }
     let mut best: Option<(f64, Centers)> = None;
     for _ in 0..runs {
         let centers = kmeanspp(points, k, rng)?;
@@ -156,7 +189,11 @@ pub fn kmeanspp_best_of<R: Rng + ?Sized>(
             _ => best = Some((cost, centers)),
         }
     }
-    Ok(best.expect("runs >= 1").1)
+    best.map(|(_, centers)| centers)
+        .ok_or_else(|| ClusteringError::InvalidParameter {
+            name: "runs",
+            message: "must be at least 1".to_string(),
+        })
 }
 
 #[cfg(test)]

@@ -109,23 +109,25 @@ impl CachedCoresetTree {
         }
 
         let n1 = major(n, r);
-        let mut used_cache = false;
-        let inputs: Vec<Coreset> = if n1 == 0 || !self.cache.contains(n1) {
+        let prefix = if n1 == 0 { None } else { self.cache.lookup(n1) };
+        let (inputs, used_cache): (Vec<Coreset>, bool) = match (prefix, minor_term(n, r)) {
+            (Some(prefix), Some(minor)) => {
+                // The suffix [N1+1, N] lives entirely at level α of the tree,
+                // where minor(N, r) = β·r^α (all lower levels are empty
+                // because the corresponding digits of N are zero).
+                let suffix = self.tree.level(minor.alpha as usize);
+                let mut v = Vec::with_capacity(1 + suffix.len());
+                v.push(prefix.clone());
+                v.extend(suffix.iter().cloned());
+                (v, true)
+            }
             // Fall back to the plain CT query: union every active bucket.
             // (This happens when queries are infrequent and the cache has
             // not been maintained recently — Section 4.1.)
-            self.tree.active_coresets().into_iter().cloned().collect()
-        } else {
-            used_cache = true;
-            // The suffix [N1+1, N] lives entirely at level α of the tree,
-            // where minor(N, r) = β·r^α (all lower levels are empty because
-            // the corresponding digits of N are zero).
-            let alpha = minor_term(n, r).expect("n > 0").alpha as usize;
-            let prefix = self.cache.lookup(n1).expect("checked above").clone();
-            let mut v = Vec::with_capacity(1 + self.tree.level(alpha).len());
-            v.push(prefix);
-            v.extend(self.tree.level(alpha).iter().cloned());
-            v
+            _ => (
+                self.tree.active_coresets().into_iter().cloned().collect(),
+                false,
+            ),
         };
 
         debug_assert!(

@@ -87,22 +87,22 @@ impl CoresetTree {
     /// Propagates coreset-construction errors.
     pub fn insert_bucket<R: Rng + ?Sized>(&mut self, bucket: PointSet, rng: &mut R) -> Result<()> {
         self.buckets_inserted += 1;
-        let base = Coreset::base_bucket(bucket, self.buckets_inserted);
-        if self.levels.is_empty() {
-            self.levels.push(Vec::new());
-        }
-        self.levels[0].push(base);
-
         let r = self.merge_degree as usize;
-        let mut j = 0;
-        while j < self.levels.len() && self.levels[j].len() >= r {
-            let group: Vec<Coreset> = self.levels[j].drain(..).collect();
-            let merged = merge_coresets(&group, &self.builder, rng)?;
-            if self.levels.len() == j + 1 {
-                self.levels.push(Vec::new());
+        // Base-r increment: the new bucket lands at level 0, and every level
+        // that reaches r buckets merges them into one carried a level up.
+        let mut carry = Some(Coreset::base_bucket(bucket, self.buckets_inserted));
+        for level in &mut self.levels {
+            let Some(coreset) = carry.take() else {
+                break;
+            };
+            level.push(coreset);
+            if level.len() >= r {
+                let group = std::mem::take(level);
+                carry = Some(merge_coresets(&group, &self.builder, rng)?);
             }
-            self.levels[j + 1].push(merged);
-            j += 1;
+        }
+        if let Some(coreset) = carry {
+            self.levels.push(vec![coreset]);
         }
         Ok(())
     }
@@ -145,38 +145,33 @@ impl CoresetTree {
             .next_back()
     }
 
-    /// Union of all active buckets as one weighted point set, together with
-    /// the number of buckets unioned and the maximum coreset level among
-    /// them. Thin wrapper over [`CoresetTree::union_all_block`] (the form
-    /// the query path consumes).
+    /// Union of all active buckets as one weighted point block, together
+    /// with the number of buckets unioned and the maximum coreset level
+    /// among them. The union is norm-cached, so the query-side k-means runs
+    /// entirely on the fused kernels without a separate norm pass.
     ///
-    /// Returns `(empty set, 0, 0)` when the tree holds no buckets.
-    #[must_use]
-    pub fn union_all(&self, dim_hint: usize) -> (PointSet, usize, u32) {
-        let (block, merged, max_level) = self.union_all_block(dim_hint);
-        (block.into_point_set(), merged, max_level)
-    }
-
-    /// Like [`CoresetTree::union_all`], but the union is assembled as a
-    /// norm-cached [`skm_clustering::PointBlock`] so the query-side k-means
-    /// runs entirely on the fused kernels without a separate norm pass.
-    #[must_use]
-    pub fn union_all_block(&self, dim_hint: usize) -> (skm_clustering::PointBlock, usize, u32) {
+    /// Returns `(empty block, 0, 0)` when the tree holds no buckets.
+    ///
+    /// # Errors
+    /// [`skm_clustering::ClusteringError::DimensionMismatch`] if two buckets
+    /// disagree on the dimension.
+    pub fn union_all_block(
+        &self,
+        dim_hint: usize,
+    ) -> Result<(skm_clustering::PointBlock, usize, u32)> {
         let coresets = self.active_coresets();
-        if coresets.is_empty() {
-            return (skm_clustering::PointBlock::new(dim_hint.max(1)), 0, 0);
-        }
-        let dim = coresets[0].points().dim();
+        let Some(first) = coresets.first() else {
+            return Ok((skm_clustering::PointBlock::new(dim_hint.max(1)), 0, 0));
+        };
+        let dim = first.points().dim();
         let total: usize = coresets.iter().map(|c| c.len()).sum();
         let mut union = skm_clustering::PointBlock::with_capacity(dim, total);
         let mut max_level = 0;
         for c in &coresets {
-            union
-                .extend_from_set(c.points())
-                .expect("all tree buckets share one dimension");
+            union.extend_from_set(c.points())?;
             max_level = max_level.max(c.level());
         }
-        (union, coresets.len(), max_level)
+        Ok((union, coresets.len(), max_level))
     }
 
     /// Total number of (weighted) points stored across all buckets.
@@ -219,9 +214,7 @@ impl CoresetTree {
             }
         }
         // Any remaining levels must be empty.
-        self.levels[level.min(self.levels.len())..]
-            .iter()
-            .all(Vec::is_empty)
+        self.levels.iter().skip(level).all(Vec::is_empty)
     }
 }
 
@@ -256,7 +249,7 @@ mod tests {
         assert_eq!(t.stored_points(), 0);
         assert!(t.max_level().is_none());
         assert!(t.digit_invariant_holds());
-        let (u, merged, level) = t.union_all(2);
+        let (u, merged, level) = t.union_all_block(2).unwrap();
         assert!(u.is_empty());
         assert_eq!(merged, 0);
         assert_eq!(level, 0);
@@ -355,7 +348,7 @@ mod tests {
         }
         // 17 buckets x 20 unit-weight points.
         assert!((t.stored_weight() - 340.0).abs() < 1e-6);
-        let (u, merged, _) = t.union_all(2);
+        let (u, merged, _) = t.union_all_block(2).unwrap();
         assert!((u.total_weight() - 340.0).abs() < 1e-6);
         assert_eq!(merged, t.active_coresets().len());
     }
@@ -387,7 +380,7 @@ mod tests {
                 .unwrap();
         }
         // 7 = (1,1,1)_2: one bucket at each of levels 0, 1, 2.
-        let (_, merged, max_level) = t.union_all(2);
+        let (_, merged, max_level) = t.union_all_block(2).unwrap();
         assert_eq!(merged, 3);
         assert_eq!(max_level, 2);
     }

@@ -77,7 +77,7 @@ impl CoresetTreeClusterer {
             return Err(ClusteringError::EmptyInput);
         }
         let dim = self.buffer.dim().unwrap_or(1);
-        let (mut union, mut merged, max_level) = self.tree.union_all_block(dim);
+        let (mut union, mut merged, max_level) = self.tree.union_all_block(dim)?;
         if let Some(partial) = self.buffer.partial() {
             if !partial.is_empty() {
                 // Append the borrowed partial bucket directly — no

@@ -8,7 +8,16 @@
 //! weight to its nearest representative.
 //!
 //! This module implements that construction ([`CoresetMethod::KMeansPP`])
-//! and a second, *sensitivity sampling* construction
+//! in one `n × m` pass: [`kmeanspp_assign_block`] tracks each point's
+//! nearest representative inside the D² sampling loop, from the dot products
+//! the loop computes anyway. Nearest means the smallest unweighted score
+//! `‖c‖² − 2·x·c` under a strict `<` in sampling order, so on a tie the
+//! first-drawn representative wins: bit for bit what a separate
+//! nearest-center pass gives. Every merge-and-reduce of the streaming
+//! algorithms runs through it, on the update path and in the query-time
+//! cache reduce.
+//!
+//! A second, *sensitivity sampling* construction
 //! ([`CoresetMethod::SensitivitySampling`], Feldman–Langberg style
 //! importance sampling) that is used by the ablation benchmark to show the
 //! choice of constructor does not change the paper's conclusions.
@@ -17,12 +26,11 @@ use crate::coreset::Coreset;
 use crate::span::Span;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use skm_clustering::cost::assign_block;
-use skm_clustering::distance::sq_dist_block;
+use skm_clustering::distance::{sq_dist_block, squared_norms};
 use skm_clustering::error::{ClusteringError, Result};
-use skm_clustering::kmeanspp::kmeanspp_block;
+use skm_clustering::kmeanspp::kmeanspp_assign_block;
 use skm_clustering::sampling::{cumulative_sums, sample_from_cumulative};
-use skm_clustering::{Centers, PointBlock, PointSet};
+use skm_clustering::{PointBlock, PointSet};
 
 /// Which coreset construction to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -87,8 +95,8 @@ impl CoresetBuilder {
     ///
     /// This is a thin adapter over [`CoresetBuilder::build_block`]: the input
     /// is lifted into a [`PointBlock`] once so the k-means++ D² sampling and
-    /// the weight-transfer assignment both run through the fused distance
-    /// kernels with a single shared norm cache.
+    /// the weight transfer run through the fused distance kernels with a
+    /// single shared norm cache.
     ///
     /// # Errors
     /// Returns an error if `points` is empty or the builder size is zero.
@@ -149,25 +157,20 @@ impl CoresetBuilder {
     }
 }
 
-/// k-means++ based construction: the returned set has exactly
-/// `min(size, n)` points and the same total weight as the input.
+/// k-means++ based construction: `size` representatives drawn by D²
+/// sampling, each carrying the total weight of the input points nearest to
+/// it (ties to the first-drawn representative), from one fused pass.
+/// Representatives that receive no weight are dropped, which changes no
+/// cost, so the result has at most `min(size, n)` points and the same total
+/// weight as the input.
 fn kmeanspp_coreset<R: Rng + ?Sized>(
     block: &PointBlock,
     size: usize,
     rng: &mut R,
 ) -> Result<PointSet> {
-    // Sample `size` representatives by D² sampling. We reuse the k-means++
-    // seeding with k = size.
-    let representatives: Centers = kmeanspp_block(block, size, rng)?;
-    // Assign every input point to its nearest representative and accumulate
-    // the weights there.
-    let assignment = assign_block(block, &representatives)?;
+    let (representatives, assignment) = kmeanspp_assign_block(block, size, rng)?;
     let mut out = PointSet::with_capacity(block.dim(), representatives.len());
-    for (j, rep) in representatives.iter().enumerate() {
-        let w = assignment.cluster_weights[j];
-        // Representatives that received no weight are still kept with zero
-        // weight? No — dropping them keeps the summary tight and does not
-        // change any cost, because zero-weight points contribute nothing.
+    for (rep, &w) in representatives.iter().zip(&assignment.cluster_weights) {
         if w > 0.0 {
             out.push(rep, w);
         }
@@ -177,7 +180,8 @@ fn kmeanspp_coreset<R: Rng + ?Sized>(
 
 /// Sensitivity-sampling construction (Feldman–Langberg style).
 ///
-/// 1. Compute a rough clustering `B` with k-means++ (`k` centers).
+/// 1. Compute a rough clustering `B` with k-means++ (`k` centers), with
+///    every point assigned to its nearest center in the same pass.
 /// 2. For every point, bound its sensitivity by
 ///    `s(x) = w(x)·d²(x,B)/φ_B(P) + w(x)/W(cluster(x))`.
 /// 3. Sample `size` points with probability `p(x) ∝ s(x)` (with
@@ -192,18 +196,24 @@ fn sensitivity_coreset<R: Rng + ?Sized>(
     size: usize,
     rng: &mut R,
 ) -> Result<PointSet> {
-    let rough = kmeanspp_block(points, k, rng)?;
-    let assignment = assign_block(points, &rough)?;
+    let (rough, assignment) = kmeanspp_assign_block(points, k, rng)?;
     let total_cost = assignment.cost;
     let total_weight = points.total_weight();
 
     // Sensitivity upper bounds, via the fused kernel and the cached norms.
-    let rough_norms = skm_clustering::distance::squared_norms(rough.coords(), rough.dim());
+    let rough_norms = squared_norms(rough.coords(), rough.dim());
+    let clusters: Vec<(&[f64], f64, f64)> = rough
+        .iter()
+        .zip(&rough_norms)
+        .zip(&assignment.cluster_weights)
+        .map(|((center, &norm), &mass)| (center, norm, mass.max(f64::MIN_POSITIVE)))
+        .collect();
     let mut sens = Vec::with_capacity(points.len());
-    for (i, (p, w, norm)) in points.view().iter().enumerate() {
-        let label = assignment.labels[i];
-        let cluster_mass = assignment.cluster_weights[label].max(f64::MIN_POSITIVE);
-        let d2 = sq_dist_block(p, norm, rough.center(label), rough_norms[label]);
+    for ((p, w, norm), &label) in points.view().iter().zip(&assignment.labels) {
+        let &(center, center_norm, cluster_mass) = clusters
+            .get(label)
+            .ok_or_else(|| sensitivity_error("the rough assignment names no such center"))?;
+        let d2 = sq_dist_block(p, norm, center, center_norm);
         let cost_term = if total_cost > 0.0 {
             w * d2 / total_cost
         } else {
@@ -221,11 +231,12 @@ fn sensitivity_coreset<R: Rng + ?Sized>(
     let cumulative = cumulative_sums(&sens);
     let mut out = PointSet::with_capacity(points.dim(), size);
     for _ in 0..size {
-        let idx = sample_from_cumulative(&cumulative, rng).expect("positive total sensitivity");
-        let p = points.point(idx);
-        let prob = sens[idx] / sens_total;
+        let (idx, s) = sample_from_cumulative(&cumulative, rng)
+            .and_then(|idx| sens.get(idx).map(|&s| (idx, s)))
+            .ok_or_else(|| sensitivity_error("no finite positive sensitivity to sample"))?;
+        let prob = s / sens_total;
         let weight = points.weight(idx) / (size as f64 * prob);
-        out.push(p, weight);
+        out.push(points.point(idx), weight);
     }
     // Rescale so the summary carries exactly the input mass.
     let out_weight = out.total_weight();
@@ -238,6 +249,15 @@ fn sensitivity_coreset<R: Rng + ?Sized>(
         return Ok(rescaled);
     }
     Ok(out)
+}
+
+/// The error for a sensitivity-sampling step that has nothing valid to work
+/// with; reachable only through non-finite intermediate values.
+fn sensitivity_error(message: &str) -> ClusteringError {
+    ClusteringError::InvalidParameter {
+        name: "sensitivity",
+        message: message.to_string(),
+    }
 }
 
 #[cfg(test)]

@@ -32,9 +32,7 @@ pub fn merge_coresets<R: Rng + ?Sized>(
     builder: &CoresetBuilder,
     rng: &mut R,
 ) -> Result<Coreset> {
-    if inputs.is_empty() {
-        return Err(ClusteringError::EmptyInput);
-    }
+    let first = inputs.first().ok_or(ClusteringError::EmptyInput)?;
     let spans: Vec<Span> = inputs.iter().map(Coreset::span).collect();
     let union_span =
         Span::union_contiguous(&spans).ok_or_else(|| ClusteringError::InvalidParameter {
@@ -42,7 +40,7 @@ pub fn merge_coresets<R: Rng + ?Sized>(
             message: format!("spans are not contiguous and ordered: {spans:?}"),
         })?;
 
-    let dim = inputs[0].points().dim();
+    let dim = first.points().dim();
     let total_points: usize = inputs.iter().map(Coreset::len).sum();
     if total_points == 0 {
         return Err(ClusteringError::EmptyInput);

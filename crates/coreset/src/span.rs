@@ -76,9 +76,9 @@ impl Span {
     /// spans, or `None` if the collection is empty, overlapping or has gaps.
     #[must_use]
     pub fn union_contiguous(spans: &[Span]) -> Option<Span> {
-        let first = spans.first()?;
+        let (first, rest) = spans.split_first()?;
         let mut acc = *first;
-        for s in &spans[1..] {
+        for s in rest {
             if !acc.is_adjacent_before(s) {
                 return None;
             }

@@ -6,7 +6,7 @@
 //! deterministic ChaCha-driven case generator (fixed seed per test, many
 //! cases per property). Failures therefore always reproduce exactly.
 
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use streaming_kmeans::clustering::cost::kmeans_cost;
 use streaming_kmeans::clustering::kmeanspp::kmeanspp;
@@ -307,6 +307,73 @@ fn point_block_round_trips_preserve_points_and_weights() {
         let copied = block.to_point_set();
         assert_eq!(copied, points);
         assert!((block.total_weight() - points.total_weight()).abs() < 1e-9);
+    }
+}
+
+/// Generates a weighted block for the seeding-with-assignment pin: 1–19
+/// dimensions, 2–401 points at one coordinate scale between 1e-6 and 1e8,
+/// weights drawn from {0, 1e-300, fractional, integer}, and about 30% of
+/// rows duplicating an earlier row.
+fn random_seeding_block(rng: &mut ChaCha8Rng) -> PointBlock {
+    let dim = rng.gen_range(1..=19usize);
+    let n = rng.gen_range(2..=401usize);
+    let scale = 10f64.powi(rng.gen_range(-6..=8i32));
+    let mut block = PointBlock::with_capacity(dim, n);
+    let mut row = vec![0.0f64; dim];
+    for i in 0..n {
+        if i > 0 && rng.gen_bool(0.3) {
+            row.copy_from_slice(block.point(rng.gen_range(0..i)));
+        } else {
+            for x in row.iter_mut() {
+                *x = rng.gen_range(-1.0..1.0f64) * scale;
+            }
+        }
+        let weight = match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => 1e-300,
+            2 => rng.gen_range(0.0..10.0f64),
+            _ => f64::from(rng.gen_range(1..=5u32)),
+        };
+        block.push(&row, weight);
+    }
+    block
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Coreset construction seeds and assigns in one pass; it must give bit for
+/// bit what k-means++ seeding followed by a separate nearest-center pass
+/// gives, and leave the RNG at the same position.
+#[test]
+fn fused_seeding_with_assignment_matches_the_two_pass_path() {
+    use streaming_kmeans::clustering::cost::assign_block;
+    use streaming_kmeans::clustering::kmeanspp::{kmeanspp_assign_block, kmeanspp_block};
+    let mut rng = ChaCha8Rng::seed_from_u64(305);
+    for case in 0..300 {
+        let block = random_seeding_block(&mut rng);
+        let k = rng.gen_range(1..=block.len());
+        let seed = rng.gen::<u64>();
+
+        let mut two_pass_rng = ChaCha8Rng::seed_from_u64(seed);
+        let seeded = kmeanspp_block(&block, k, &mut two_pass_rng).unwrap();
+        let assigned = assign_block(&block, &seeded).unwrap();
+        let mut fused_rng = ChaCha8Rng::seed_from_u64(seed);
+        let (centers, assignment) = kmeanspp_assign_block(&block, k, &mut fused_rng).unwrap();
+
+        let at = format!("case {case}: n={} d={} k={k}", block.len(), block.dim());
+        assert_eq!(bits(centers.coords()), bits(seeded.coords()), "{at}");
+        let weights = |c: &Centers| (0..c.len()).map(|j| c.weight(j)).collect::<Vec<_>>();
+        assert_eq!(bits(&weights(&centers)), bits(&weights(&seeded)), "{at}");
+        assert_eq!(assignment.labels, assigned.labels, "{at}");
+        assert_eq!(
+            bits(&assignment.cluster_weights),
+            bits(&assigned.cluster_weights),
+            "{at}"
+        );
+        assert_eq!(assignment.cost.to_bits(), assigned.cost.to_bits(), "{at}");
+        assert_eq!(fused_rng.next_u64(), two_pass_rng.next_u64(), "{at}");
     }
 }
 
