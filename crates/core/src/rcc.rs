@@ -56,6 +56,28 @@ impl RccLevel {
             inner,
         }
     }
+
+    /// Appends a coreset to the list and mirrors it into the recursive
+    /// structure.
+    fn push<R: Rng + ?Sized>(&mut self, coreset: Coreset, rng: &mut R) -> Result<()> {
+        if let Some(inner) = &mut self.inner {
+            inner.insert(coreset.clone(), rng)?;
+        }
+        self.list.push(coreset);
+        Ok(())
+    }
+
+    /// The recursive structure's coreset for this level's buckets, `None`
+    /// at order 0 or when the structure holds nothing.
+    fn query_recursive<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+    ) -> Result<Option<(Coreset, usize)>> {
+        match self.inner.as_mut() {
+            Some(inner) => inner.query_coreset(rng),
+            None => Ok(None),
+        }
+    }
 }
 
 /// Merge degree of the next-lower order: `√r`, but never below 2.
@@ -88,42 +110,36 @@ impl RccNode {
         }
     }
 
-    fn ensure_level(&mut self, level: usize) {
-        while self.levels.len() <= level {
-            let l = RccLevel::new(self.order, self.merge_degree, self.builder);
-            self.levels.push(l);
-        }
-    }
-
-    /// `RCC-Update` (Algorithm 5).
+    /// `RCC-Update` (Algorithm 5): a base-r increment. The new bucket lands
+    /// at level 0, and every level that reaches r coresets merges them into
+    /// one carried a level up.
     fn insert<R: Rng + ?Sized>(&mut self, bucket: Coreset, rng: &mut R) -> Result<()> {
         self.buckets_inserted += 1;
-        self.ensure_level(0);
-        self.levels[0].list.push(bucket.clone());
-        if let Some(inner) = &mut self.levels[0].inner {
-            inner.insert(bucket, rng)?;
-        }
-
         let r = self.merge_degree as usize;
-        let mut level = 0;
-        while level < self.levels.len() && self.levels[level].list.len() >= r {
-            let group: Vec<Coreset> = self.levels[level].list.drain(..).collect();
-            let merged = merge_coresets(&group, &self.builder, rng)?;
-            self.ensure_level(level + 1);
-            self.levels[level + 1].list.push(merged.clone());
-            if let Some(inner) = &mut self.levels[level + 1].inner {
-                inner.insert(merged, rng)?;
+        let mut carry = Some(bucket);
+        for level in &mut self.levels {
+            let Some(coreset) = carry.take() else {
+                break;
+            };
+            level.push(coreset, rng)?;
+            if level.list.len() >= r {
+                let group = std::mem::take(&mut level.list);
+                // Reset the emptied level's recursive structure (Algorithm
+                // 5, lines 13–15).
+                if self.order > 0 {
+                    level.inner = Some(Box::new(RccNode::new(
+                        self.order - 1,
+                        inner_merge_degree(self.merge_degree),
+                        self.builder,
+                    )));
+                }
+                carry = Some(merge_coresets(&group, &self.builder, rng)?);
             }
-            // Reset the emptied level's recursive structure (Algorithm 5,
-            // lines 13–15).
-            if self.order > 0 {
-                self.levels[level].inner = Some(Box::new(RccNode::new(
-                    self.order - 1,
-                    inner_merge_degree(self.merge_degree),
-                    self.builder,
-                )));
-            }
-            level += 1;
+        }
+        if let Some(coreset) = carry {
+            let mut level = RccLevel::new(self.order, self.merge_degree, self.builder);
+            level.push(coreset, rng)?;
+            self.levels.push(level);
         }
         Ok(())
     }
@@ -141,51 +157,54 @@ impl RccNode {
         }
         let r = self.merge_degree;
         let n1 = major(n, r);
+        let cached_prefix = match n1 {
+            0 => None,
+            _ => self.cache.lookup(n1).cloned(),
+        };
 
-        let (inputs, merged_count) = if n1 == 0 || !self.cache.contains(n1) {
+        let (inputs, merged_count) = match cached_prefix {
             // Algorithm 6, cache-miss branch: query each non-empty level
             // recursively (oldest first) so the inner caches keep the number
             // of touched coresets small even when this order's cache cannot
             // help. At order 0 there is no inner structure, so the raw list
             // buckets are used (there are at most r − 1 = 1 of them per
             // level).
-            let mut inputs = Vec::new();
-            let mut count = 0usize;
-            for level_idx in (0..self.levels.len()).rev() {
-                if self.levels[level_idx].list.is_empty() {
-                    continue;
-                }
-                let list_copy: Vec<Coreset> = self.levels[level_idx].list.clone();
-                match self.levels[level_idx].inner.as_mut() {
-                    Some(inner) => match inner.query_coreset(rng)? {
+            None => {
+                let mut inputs = Vec::new();
+                let mut count = 0usize;
+                for level in self.levels.iter_mut().rev() {
+                    if level.list.is_empty() {
+                        continue;
+                    }
+                    match level.query_recursive(rng)? {
                         Some((coreset, inner_merged)) => {
                             inputs.push(coreset);
                             count += inner_merged;
                         }
                         None => {
-                            count += list_copy.len();
-                            inputs.extend(list_copy);
+                            count += level.list.len();
+                            inputs.extend(level.list.iter().cloned());
                         }
-                    },
-                    None => {
-                        count += list_copy.len();
-                        inputs.extend(list_copy);
                     }
                 }
+                (inputs, count)
             }
-            (inputs, count)
-        } else {
-            let prefix = self.cache.lookup(n1).expect("checked above").clone();
             // The suffix lives in the lowest non-empty level; use its
             // recursive structure when available so only O(1) coresets are
             // touched at this order.
-            let lowest = self
-                .levels
-                .iter_mut()
-                .find(|l| !l.list.is_empty())
-                .expect("n > n1 implies a non-empty level");
-            match lowest.inner.as_mut() {
-                Some(inner) => match inner.query_coreset(rng)? {
+            Some(prefix) => {
+                let lowest = self
+                    .levels
+                    .iter_mut()
+                    .find(|l| !l.list.is_empty())
+                    .ok_or_else(|| ClusteringError::InvalidParameter {
+                        name: "rcc_state",
+                        message: format!(
+                            "{n} buckets inserted past the cached prefix of {n1}, \
+                             but every level is empty"
+                        ),
+                    })?;
+                match lowest.query_recursive(rng)? {
                     Some((suffix, inner_merged)) => (vec![prefix, suffix], 1 + inner_merged),
                     None => {
                         let mut v = vec![prefix];
@@ -193,12 +212,6 @@ impl RccNode {
                         let count = v.len();
                         (v, count)
                     }
-                },
-                None => {
-                    let mut v = vec![prefix];
-                    v.extend(lowest.list.iter().cloned());
-                    let count = v.len();
-                    (v, count)
                 }
             }
         };
@@ -450,15 +463,16 @@ impl RecursiveCachedTree {
     }
 }
 
-/// `r_ι = 2^(2^ι)` with overflow protection.
+/// `r_ι = 2^(2^ι)`, refused where it overflows `u64` (from `ι = 6`).
 fn default_top_merge_degree(nesting_depth: u32) -> Result<u64> {
-    if nesting_depth > 6 {
-        return Err(ClusteringError::InvalidParameter {
+    1u32.checked_shl(nesting_depth)
+        .and_then(|bits| 1u64.checked_shl(bits))
+        .ok_or_else(|| ClusteringError::InvalidParameter {
             name: "nesting_depth",
-            message: "nesting depths above 6 are not supported".to_string(),
-        });
-    }
-    Ok(1u64 << (1u32 << nesting_depth))
+            message: "the default top merge degree 2^(2^ι) overflows above ι = 5; \
+                      pass an explicit degree"
+                .to_string(),
+        })
 }
 
 impl StreamingClusterer for RecursiveCachedTree {
@@ -577,10 +591,40 @@ mod tests {
         assert_eq!(default_top_merge_degree(1).unwrap(), 4);
         assert_eq!(default_top_merge_degree(2).unwrap(), 16);
         assert_eq!(default_top_merge_degree(3).unwrap(), 256);
+        assert_eq!(default_top_merge_degree(5).unwrap(), 1 << 32);
+        // 2^64 does not fit: an error, not an overflowing shift.
+        assert!(default_top_merge_degree(6).is_err());
         assert!(default_top_merge_degree(7).is_err());
+        assert!(default_top_merge_degree(40).is_err());
         assert_eq!(inner_merge_degree(16), 4);
         assert_eq!(inner_merge_degree(4), 2);
         assert_eq!(inner_merge_degree(2), 2);
+    }
+
+    #[test]
+    fn a_bucket_count_past_empty_levels_is_a_typed_error() {
+        // A restored state can claim buckets its levels do not hold (a
+        // hand-edited `--restore` file, a hostile primary's replica
+        // snapshot): the cached prefix then has no suffix level to pair
+        // with.
+        let mut rcc = RecursiveCachedTree::with_top_merge_degree(config(2, 20), 0, 2, 1).unwrap();
+        push_random_points(&mut rcc, 40, 1);
+        rcc.query_candidates().unwrap(); // caches buckets [1, 2]
+        rcc.node.buckets_inserted = 3; // major(3, 2) = 2: the cached prefix
+        for level in &mut rcc.node.levels {
+            level.list.clear();
+        }
+        let err = rcc.query_candidates().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ClusteringError::InvalidParameter {
+                    name: "rcc_state",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

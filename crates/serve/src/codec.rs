@@ -16,6 +16,11 @@
 //! receive buffer ([`Codec::next_frame`]) plus whole-message encode/decode.
 //! The server, the client and the tests all share these two implementations,
 //! so there is exactly one definition of the bytes on the wire.
+//!
+//! The same writers and bounds-checked reader define the bytes the
+//! write-ahead log stores: [`encode_replication_record`] for log records
+//! and [`encode_state`] for checkpoint blobs, a generic binary form of the
+//! [`serde::Value`] tree that keeps every `f64` bit.
 
 use crate::protocol::{
     ErrorCode, Freshness, ReplicationRecord, Request, Response, TenantConfig, MAX_LINE_BYTES,
@@ -310,8 +315,8 @@ fn put_usize(out: &mut Vec<u8>, v: usize) {
 }
 
 fn put_len(out: &mut Vec<u8>, len: usize) {
-    // lint:allow(panic-freedom) encode-side invariant: lengths come from in-memory buffers already under the frame cap
-    put_u32(out, u32::try_from(len).expect("length fits the frame cap"));
+    // lint:allow(panic-freedom) encode-side invariant: lengths come from in-memory buffers (frames under the frame cap, state containers far below u32::MAX elements)
+    put_u32(out, u32::try_from(len).expect("length fits a u32"));
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -422,6 +427,192 @@ pub fn decode_replication_record(payload: &[u8]) -> Result<ReplicationRecord, St
     let record = r.replication_record()?;
     r.finish()?;
     Ok(record)
+}
+
+// ---- state blobs (WAL checkpoints) ---------------------------------------
+
+/// First bytes of every state blob. A JSON envelope starts with `{`, so a
+/// checkpoint written by an earlier, text-checkpointing build can never
+/// pass for one.
+const STATE_MAGIC: [u8; 4] = *b"SKMS";
+
+/// Encoding revision, the byte after [`STATE_MAGIC`].
+const STATE_FORMAT: u8 = 1;
+
+/// Deepest container nesting [`decode_state`] accepts (the vendored JSON
+/// parser's bound too). The deepest state the workspace writes is an RCC
+/// envelope: 15 levels at the server's nesting depth 2, and 3 more per
+/// order.
+pub const MAX_STATE_DEPTH: usize = 128;
+
+// Value-node tags. 0x00 is unused so zeroed bytes never decode.
+const TAG_VALUE_NULL: u8 = 0x01;
+const TAG_VALUE_FALSE: u8 = 0x02;
+const TAG_VALUE_TRUE: u8 = 0x03;
+const TAG_VALUE_UINT: u8 = 0x04;
+const TAG_VALUE_INT: u8 = 0x05;
+const TAG_VALUE_FLOAT: u8 = 0x06;
+const TAG_VALUE_STR: u8 = 0x07;
+const TAG_VALUE_SEQ: u8 = 0x08;
+const TAG_VALUE_MAP: u8 = 0x09;
+
+/// Smallest encoding of a sequence element (its tag) and of a map entry
+/// (key length plus the value's tag).
+const MIN_SEQ_ITEM_BYTES: usize = 1;
+const MIN_MAP_ENTRY_BYTES: usize = 5;
+
+fn put_value(out: &mut Vec<u8>, value: &serde::Value) {
+    use serde::Value;
+    match value {
+        Value::Null => out.push(TAG_VALUE_NULL),
+        Value::Bool(false) => out.push(TAG_VALUE_FALSE),
+        Value::Bool(true) => out.push(TAG_VALUE_TRUE),
+        Value::UInt(u) => {
+            out.push(TAG_VALUE_UINT);
+            out.extend_from_slice(&u.to_le_bytes());
+        }
+        Value::Int(i) => {
+            out.push(TAG_VALUE_INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::Float(f) => {
+            out.push(TAG_VALUE_FLOAT);
+            put_f64(out, *f);
+        }
+        Value::Str(s) => {
+            out.push(TAG_VALUE_STR);
+            put_str(out, s);
+        }
+        Value::Seq(items) => {
+            out.push(TAG_VALUE_SEQ);
+            put_len(out, items.len());
+            for item in items {
+                put_value(out, item);
+            }
+        }
+        Value::Map(entries) => {
+            out.push(TAG_VALUE_MAP);
+            put_len(out, entries.len());
+            for (key, item) in entries {
+                put_str(out, key);
+                put_value(out, item);
+            }
+        }
+    }
+}
+
+/// Encodes a [`serde::Value`] tree as a binary state blob: the byte string
+/// of every WAL checkpoint. The magic `SKMS` and a format byte, then one
+/// tag byte per node. Floats travel as their exact little-endian IEEE-754
+/// bits, integers as little-endian `u128`/`i64`; strings, sequences and
+/// maps carry a little-endian `u32` count ahead of their bytes, elements
+/// or `(key, value)` entries.
+#[must_use]
+pub fn encode_state(value: &serde::Value) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&STATE_MAGIC);
+    out.push(STATE_FORMAT);
+    put_value(&mut out, value);
+    out
+}
+
+/// Decodes a blob written by [`encode_state`], rejecting a wrong magic,
+/// truncation, unknown tags, nesting past [`MAX_STATE_DEPTH`] and trailing
+/// bytes.
+///
+/// Hostile counts cannot make it allocate: every container's count,
+/// together with the elements still owed by the containers it sits in,
+/// must fit the bytes left at their smallest encodings. So the tree it
+/// pre-allocates never holds more nodes than the blob has bytes.
+///
+/// # Errors
+/// A parse failure message (WAL recovery surfaces it as corruption).
+pub fn decode_state(blob: &[u8]) -> Result<serde::Value, String> {
+    let mut r = Reader::new(blob);
+    if r.take(STATE_MAGIC.len()).ok() != Some(&STATE_MAGIC[..]) {
+        return Err(if blob.first() == Some(&b'{') {
+            "a JSON envelope, not a binary state blob (an earlier build wrote it)".to_string()
+        } else {
+            "not a binary state blob (bad magic)".to_string()
+        });
+    }
+    let format = r.u8()?;
+    if format != STATE_FORMAT {
+        return Err(format!(
+            "state blob format {format} (this build reads format {STATE_FORMAT})"
+        ));
+    }
+    let mut state = StateReader { r, owed: 0 };
+    let value = state.value(0)?;
+    state.r.finish()?;
+    Ok(value)
+}
+
+/// [`Reader`] plus the bytes owed to declared container elements that
+/// have not been read yet (at their smallest encodings).
+struct StateReader<'a> {
+    r: Reader<'a>,
+    owed: usize,
+}
+
+impl StateReader<'_> {
+    /// A container's element count, accepted only if the elements fit the
+    /// bytes left beside everything already owed.
+    fn count(&mut self, min_element_size: usize) -> Result<usize, String> {
+        let n = self.r.u32()? as usize;
+        let free = self.r.remaining().saturating_sub(self.owed);
+        if n > free / min_element_size {
+            return Err(format!(
+                "declared count {n} does not fit the {free} unclaimed state bytes"
+            ));
+        }
+        self.owed += n * min_element_size;
+        Ok(n)
+    }
+
+    fn value(&mut self, depth: usize) -> Result<serde::Value, String> {
+        use serde::Value;
+        let tag = self.r.u8()?;
+        if matches!(tag, TAG_VALUE_SEQ | TAG_VALUE_MAP) && depth >= MAX_STATE_DEPTH {
+            return Err(format!("state nests deeper than {MAX_STATE_DEPTH} levels"));
+        }
+        Ok(match tag {
+            TAG_VALUE_NULL => Value::Null,
+            TAG_VALUE_FALSE => Value::Bool(false),
+            TAG_VALUE_TRUE => Value::Bool(true),
+            TAG_VALUE_UINT => {
+                let b: [u8; 16] = self
+                    .r
+                    .take(16)?
+                    .try_into()
+                    .map_err(|_| "truncated state: short u128".to_string())?;
+                Value::UInt(u128::from_le_bytes(b))
+            }
+            TAG_VALUE_INT => Value::Int(i64::from_le_bytes(self.r.u64()?.to_le_bytes())),
+            TAG_VALUE_FLOAT => Value::Float(self.r.f64()?),
+            TAG_VALUE_STR => Value::Str(self.r.str()?),
+            TAG_VALUE_SEQ => {
+                let n = self.count(MIN_SEQ_ITEM_BYTES)?;
+                let mut items = Vec::with_capacity(n);
+                for _ in 0..n {
+                    self.owed -= MIN_SEQ_ITEM_BYTES;
+                    items.push(self.value(depth + 1)?);
+                }
+                Value::Seq(items)
+            }
+            TAG_VALUE_MAP => {
+                let n = self.count(MIN_MAP_ENTRY_BYTES)?;
+                let mut entries = Vec::with_capacity(n);
+                for _ in 0..n {
+                    self.owed -= MIN_MAP_ENTRY_BYTES;
+                    let key = self.r.str()?;
+                    entries.push((key, self.value(depth + 1)?));
+                }
+                Value::Map(entries)
+            }
+            other => return Err(format!("unknown state value tag {other:#04x}")),
+        })
+    }
 }
 
 fn put_query_stats(out: &mut Vec<u8>, s: &QueryStats) {

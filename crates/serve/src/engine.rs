@@ -31,22 +31,30 @@
 //! The engine holds at most `max_resident` tenants in memory. When a new
 //! tenant would exceed the cap, the least-recently-touched resident is
 //! paged out: its complete state is snapshotted to
-//! `<dir>/tenant-<namespace>.json` (the same versioned envelope as an
-//! explicit snapshot) and it is dropped from the map. The next request
+//! `<dir>/tenant-<namespace>.json` (the same versioned JSON envelope as an
+//! explicit snapshot) and it is dropped from the map. With a write-ahead
+//! log, paging out is "checkpoint and drop" instead. The next request
 //! that names the evicted tenant transparently restores it from that file
-//! and continues the stream **bit-identically** — evict → restore →
+//! or log and continues the stream **bit-identically** — evict → restore →
 //! continue equals never having evicted, including the republished epoch.
-//! Without an eviction directory the cap is a hard limit
+//! Without an eviction directory or a log the cap is a hard limit
 //! (`tenant_limit`).
 //!
 //! Snapshots serialize the complete backend state — configuration, coreset
 //! tree levels, caches, partially filled buckets and RNG positions — into a
-//! versioned JSON envelope ([`SnapshotFile`]), so a server restarted from a
+//! versioned envelope ([`SnapshotFile`]), so a server restarted from a
 //! snapshot continues the stream bit-identically to one that never stopped.
 //! The envelope also carries the currently published answer, so a restored
 //! engine republishes the same epoch instead of starting readers cold.
+//! Everything a user can read or hand back is JSON text: wire snapshots,
+//! replica bootstraps, `--restore` files and eviction files. WAL
+//! checkpoints carry the same envelope in the binary
+//! [`crate::codec::encode_state`] form, which keeps every `f64` bit and
+//! spares page-out and page-in the printing and parsing of decimal text.
 
-use crate::codec::{decode_replication_record, encode_replication_record};
+use crate::codec::{
+    decode_replication_record, decode_state, encode_replication_record, encode_state,
+};
 use crate::protocol::{
     validate_namespace, Freshness, ReplicationRecord, Window, DEFAULT_NAMESPACE,
 };
@@ -256,6 +264,14 @@ fn wal_err(e: WalError) -> ClusteringError {
             WalError::Io(_) => "wal_io",
         },
         message: e.to_string(),
+    }
+}
+
+/// An envelope that cannot be built or restored.
+fn invalid_snapshot(message: String) -> ClusteringError {
+    ClusteringError::InvalidParameter {
+        name: "snapshot",
+        message,
     }
 }
 
@@ -479,7 +495,8 @@ impl Backend {
 }
 
 /// Versioned on-disk snapshot envelope: the backend tag picks the concrete
-/// state type at restore time.
+/// state type at restore time. Snapshots and eviction files hold it as
+/// JSON text, WAL checkpoints as a [`crate::codec::encode_state`] blob.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SnapshotFile {
     /// Envelope version ([`SNAPSHOT_VERSION`]).
@@ -632,49 +649,87 @@ impl Tenant {
         self.backend.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Serializes this tenant into the versioned JSON envelope. Caller
-    /// holds the backend guard, so state and published answer are written
-    /// from one consistent lock hold.
-    fn snapshot_string(&self, backend: &mut Backend) -> Result<String> {
-        let file = SnapshotFile {
+    /// Builds this tenant's versioned envelope. Caller holds the backend
+    /// guard, so state and published answer come from one consistent lock
+    /// hold.
+    fn snapshot_file(&self, backend: &mut Backend) -> Result<SnapshotFile> {
+        Ok(SnapshotFile {
             snapshot_version: SNAPSHOT_VERSION,
             namespace: self.namespace.clone(),
             backend: backend.kind().tag().to_string(),
             published: self.slot.load().map(|p| p.as_ref().clone()),
             state: backend.state_value()?,
-        };
-        serde_json::to_string(&file).map_err(|e| ClusteringError::InvalidParameter {
-            name: "snapshot",
-            message: e.to_string(),
         })
     }
 
-    /// Rebuilds a tenant from a snapshot envelope. `expected_namespace`
-    /// pins the envelope to the tenant an eviction file is named after; a
-    /// mismatch means the file was renamed or tampered with.
-    fn from_snapshot_text(text: &str, expected_namespace: Option<&str>) -> Result<Self> {
-        let invalid = |message: String| ClusteringError::InvalidParameter {
-            name: "snapshot",
-            message,
+    /// The envelope as JSON text: wire snapshots, replica bootstraps and
+    /// eviction files.
+    fn snapshot_string(&self, backend: &mut Backend) -> Result<String> {
+        serde_json::to_string(&self.snapshot_file(backend)?)
+            .map_err(|e| invalid_snapshot(e.to_string()))
+    }
+
+    /// The envelope as an [`encode_state`] blob: write-ahead-log
+    /// checkpoints.
+    fn checkpoint_blob(&self, backend: &mut Backend) -> Result<Vec<u8>> {
+        Ok(encode_state(&self.snapshot_file(backend)?.to_value()))
+    }
+
+    /// Checkpoints this tenant into its write-ahead log, returning the
+    /// sequence the checkpoint covers (`None` without a log). Caller holds
+    /// the backend guard, so the checkpoint covers exactly the records
+    /// appended so far.
+    fn checkpoint(&self, backend: &mut Backend) -> Result<Option<u64>> {
+        let Some(wal) = &self.wal else {
+            return Ok(None);
         };
-        let file: SnapshotFile = serde_json::from_str(text).map_err(|e| invalid(e.to_string()))?;
+        let blob = self.checkpoint_blob(backend)?;
+        wal.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .checkpoint(&blob)
+            .map(Some)
+            .map_err(wal_err)
+    }
+
+    /// Rebuilds a tenant from a JSON snapshot envelope.
+    fn from_snapshot_text(text: &str, expected_namespace: Option<&str>) -> Result<Self> {
+        let file = serde_json::from_str(text).map_err(|e| invalid_snapshot(e.to_string()))?;
+        Self::from_snapshot_file(file, expected_namespace)
+    }
+
+    /// Rebuilds a tenant from its log's checkpoint blob. A blob that does
+    /// not decode — a torn or foreign file, or a JSON checkpoint left by an
+    /// earlier build — is `wal_corrupt`, naming the tenant.
+    fn from_checkpoint(blob: &[u8], namespace: &str) -> Result<Self> {
+        let value = decode_state(blob).map_err(|e| ClusteringError::InvalidParameter {
+            name: "wal_corrupt",
+            message: format!("checkpoint for tenant `{namespace}`: {e}"),
+        })?;
+        let file = SnapshotFile::from_value(&value).map_err(|e| invalid_snapshot(e.to_string()))?;
+        Self::from_snapshot_file(file, Some(namespace))
+    }
+
+    /// Validates an envelope and rebuilds its tenant. `expected_namespace`
+    /// pins the envelope to the tenant a file or log is named after; a
+    /// mismatch means it was renamed or tampered with.
+    fn from_snapshot_file(file: SnapshotFile, expected_namespace: Option<&str>) -> Result<Self> {
         if file.snapshot_version != SNAPSHOT_VERSION {
-            return Err(invalid(format!(
+            return Err(invalid_snapshot(format!(
                 "unsupported snapshot version {} (this build reads version {SNAPSHOT_VERSION})",
                 file.snapshot_version
             )));
         }
-        validate_namespace(&file.namespace).map_err(invalid)?;
+        validate_namespace(&file.namespace).map_err(invalid_snapshot)?;
         if let Some(expected) = expected_namespace {
             if file.namespace != expected {
-                return Err(invalid(format!(
+                return Err(invalid_snapshot(format!(
                     "snapshot belongs to tenant `{}`, expected `{expected}`",
                     file.namespace
                 )));
             }
         }
         let kind = BackendKind::parse(&file.backend)
-            .ok_or_else(|| invalid(format!("unknown backend `{}`", file.backend)))?;
+            .ok_or_else(|| invalid_snapshot(format!("unknown backend `{}`", file.backend)))?;
         let tenant = Tenant::assemble(&file.namespace, Backend::from_state(kind, &file.state)?);
         // The sharded backend's state carries its own copy of the published
         // answer (in-process `ShardedStream` restores need it) and has
@@ -685,7 +740,7 @@ impl Tenant {
         if kind == BackendKind::ShardedCc
             && tenant.slot.load().map(|p| p.as_ref().clone()) != file.published
         {
-            return Err(invalid(
+            return Err(invalid_snapshot(
                 "published answer in the envelope disagrees with the backend state".to_string(),
             ));
         }
@@ -843,16 +898,7 @@ impl Engine {
             tail,
         } = recovered;
         let mut tenant = match checkpoint {
-            Some((_, blob)) => {
-                let text =
-                    String::from_utf8(blob).map_err(|e| ClusteringError::InvalidParameter {
-                        name: "wal_corrupt",
-                        message: format!(
-                            "checkpoint blob for tenant `{namespace}` is not UTF-8: {e}"
-                        ),
-                    })?;
-                Tenant::from_snapshot_text(&text, Some(namespace))?
-            }
+            Some((_, blob)) => Tenant::from_checkpoint(&blob, namespace)?,
             None => {
                 // Records can only exist after checkpoint 0 was written;
                 // records without any checkpoint mean the checkpoint was
@@ -867,11 +913,8 @@ impl Engine {
                     });
                 }
                 let fresh = Tenant::create(namespace, spec)?;
-                let json = {
-                    let mut guard = fresh.lock();
-                    fresh.snapshot_string(&mut guard)?
-                };
-                wal.checkpoint(json.as_bytes()).map_err(wal_err)?;
+                let blob = fresh.checkpoint_blob(&mut fresh.lock())?;
+                wal.checkpoint(&blob).map_err(wal_err)?;
                 fresh
             }
         };
@@ -1018,22 +1061,17 @@ impl Engine {
     }
 
     /// Pages one resident tenant out to disk. With a WAL this is
-    /// "checkpoint and drop" — the tenant's log directory already holds
-    /// everything; without one the state goes to an eviction file. The
-    /// caller holds the map write lock and removes the victim afterwards.
+    /// "checkpoint and drop" — a binary checkpoint, after which the
+    /// tenant's log directory holds everything; without one the state goes
+    /// to a JSON eviction file. The caller holds the map write lock and
+    /// removes the victim afterwards.
     fn page_out(&self, victim: &Tenant) -> Result<()> {
         // Snapshot and flag under the victim's backend lock: every
         // operation that raced us either completed before the snapshot
         // (and is in it) or will observe `evicted` and retry through the
         // map (and the restore).
         let mut guard = victim.lock();
-        let json = victim.snapshot_string(&mut guard)?;
-        if let Some(wal) = &victim.wal {
-            wal.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .checkpoint(json.as_bytes())
-                .map_err(wal_err)?;
-        } else {
+        if victim.checkpoint(&mut guard)?.is_none() {
             let Some(path) = self.evict_path(&victim.namespace) else {
                 return Err(ClusteringError::InvalidParameter {
                     name: "tenant_limit",
@@ -1047,6 +1085,7 @@ impl Engine {
                 name: "snapshot",
                 message: format!("evicting tenant `{}`: {e}", victim.namespace),
             };
+            let json = victim.snapshot_string(&mut guard)?;
             if let Some(parent) = path.parent() {
                 std::fs::create_dir_all(parent).map_err(write_err)?;
             }
@@ -1285,11 +1324,7 @@ impl Engine {
             .unwrap_or_else(PoisonError::into_inner)
             .checkpoint_due();
         if due {
-            let json = tenant.snapshot_string(backend)?;
-            wal.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .checkpoint(json.as_bytes())
-                .map_err(wal_err)?;
+            tenant.checkpoint(backend)?;
         }
         Ok(())
     }
@@ -1591,7 +1626,8 @@ impl Engine {
     }
 
     /// Serializes one tenant's full state into the versioned JSON
-    /// envelope.
+    /// envelope: the text `--restore` and [`Engine::from_snapshot_json`]
+    /// read back. (WAL checkpoints hold the same envelope in binary.)
     ///
     /// # Errors
     /// Fails when a shard has latched an error.
@@ -1749,9 +1785,9 @@ impl Engine {
 
     /// A consistent follower-bootstrap snapshot of one tenant: the log
     /// sequence it covers, the published epoch, and the full state
-    /// envelope. The log is group-committed first, so the snapshot never
-    /// includes a record a crashed primary could forget — a follower can
-    /// never get ahead of what its primary would recover to.
+    /// envelope as JSON text. The log is group-committed first, so the
+    /// snapshot never includes a record a crashed primary could forget — a
+    /// follower can never get ahead of what its primary would recover to.
     ///
     /// # Errors
     /// Fails when the engine runs without a WAL, or on snapshot/log
@@ -1819,14 +1855,7 @@ impl Engine {
     /// failures.
     pub fn checkpoint_now_in(&self, namespace: &str) -> Result<u64> {
         self.with_backend(namespace, |backend, tenant| {
-            let Some(wal) = &tenant.wal else {
-                return Err(Self::wal_required());
-            };
-            let json = tenant.snapshot_string(backend)?;
-            wal.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .checkpoint(json.as_bytes())
-                .map_err(wal_err)
+            tenant.checkpoint(backend)?.ok_or_else(Self::wal_required)
         })
     }
 
@@ -2445,6 +2474,47 @@ mod tests {
 
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn a_json_checkpoint_from_an_earlier_build_is_refused_by_name() {
+        let dir = temp_dir("wal-json-ckpt");
+        std::fs::remove_dir_all(&dir).ok();
+        // Earlier builds checkpointed the JSON envelope itself.
+        let json = {
+            let engine = Engine::new(&spec(BackendKind::Cc)).unwrap();
+            feed_in(&engine, "old", 30, 0.0);
+            engine.snapshot_json_in("old").unwrap()
+        };
+        let config = WalConfig::new(dir.clone());
+        let mut wal = Wal::open(config.tenant_dir("old"), config.options())
+            .unwrap()
+            .wal;
+        wal.checkpoint(json.as_bytes()).unwrap();
+        drop(wal);
+
+        let err = Engine::new(&spec(BackendKind::Cc))
+            .unwrap()
+            .with_wal(config.clone())
+            .unwrap_err();
+        match &err {
+            ClusteringError::InvalidParameter {
+                name: "wal_corrupt",
+                message,
+            } => {
+                assert!(message.contains("tenant `old`"), "{message}");
+                assert!(message.contains("JSON"), "{message}");
+            }
+            other => panic!("expected wal_corrupt, got {other:?}"),
+        }
+        // Refused, not replaced: no fresh tenant overwrote the log.
+        let recovered = Wal::open(config.tenant_dir("old"), config.options()).unwrap();
+        assert_eq!(
+            recovered.checkpoint.map(|(_, b)| b),
+            Some(json.into_bytes())
+        );
+
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

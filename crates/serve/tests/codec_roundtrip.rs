@@ -3,14 +3,24 @@
 //! incomplete (never as garbage), oversized length prefixes die with the
 //! typed `FrameTooLarge` error, hostile bytes never panic the decoder, and
 //! pipelined frames concatenated on one buffer come back in order.
+//!
+//! The binary state codec of WAL checkpoints gets the same treatment:
+//! random `Value` trees and real tenant checkpoints come back bit for bit,
+//! and every hostile blob is an error, never a panic or an allocation the
+//! blob's length does not pay for.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use skm_serve::codec::{codec, CodecKind, MAX_FRAME_BYTES};
+use serde::Value;
+use skm_serve::codec::{
+    codec, decode_state, encode_state, CodecKind, MAX_FRAME_BYTES, MAX_STATE_DEPTH,
+};
+use skm_serve::engine::{BackendKind, Engine, EngineSpec, WalConfig};
 use skm_serve::protocol::{
     ErrorCode, Freshness, ReplicationRecord, Request, Response, TenantConfig, WindowSpec,
 };
-use skm_stream::{QueryStats, StreamStats, WindowInfo};
+use skm_stream::{QueryStats, StreamConfig, StreamStats, WindowInfo};
+use std::path::PathBuf;
 
 const ROUNDS: usize = 64;
 
@@ -361,6 +371,9 @@ fn random_garbage_never_panics_either_decoder() {
                 let _ = c.decode_response(&garbage[frame.start..frame.end]);
             }
         }
+        // Behind a valid state header too, so the bytes reach the tree
+        // decoder.
+        let _ = decode_state(&[&STATE_HEADER[..], &garbage].concat());
     }
 }
 
@@ -391,4 +404,301 @@ fn pipelined_frames_on_one_buffer_come_back_in_order() {
         }
         assert_eq!(decoded, originals, "{kind:?}");
     }
+}
+
+/// Magic and format byte of every state blob.
+const STATE_HEADER: [u8; 5] = *b"SKMS\x01";
+
+const EDGE_FLOATS: [f64; 8] = [
+    0.0,
+    -0.0,
+    f64::MIN_POSITIVE,
+    f64::MIN_POSITIVE / 4.0, // subnormal
+    -5e-324,                 // smallest subnormal
+    f64::MAX,
+    f64::MIN,
+    0.1,
+];
+
+const KEYS: [&str; 4] = ["", "k", "cl\u{e9}", "\u{1F600}\u{e9}t\u{e9}"];
+
+/// A random `Value` tree over every variant, biased towards the edge values
+/// a state blob must keep bit for bit.
+fn value(depth: usize, rng: &mut ChaCha8Rng) -> Value {
+    let variants = if depth >= 4 { 6 } else { 8 };
+    match rng.gen_range(0..variants) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen_bool(0.5)),
+        2 => Value::UInt(match rng.gen_range(0..4) {
+            0 => 0,
+            1 => u128::MAX,
+            2 => u128::from(u64::MAX) + 1,
+            _ => u128::from(rng.gen::<u64>()),
+        }),
+        3 => Value::Int(match rng.gen_range(0..3) {
+            0 => i64::MIN,
+            1 => -1,
+            _ => -rng.gen_range(1..i64::MAX),
+        }),
+        4 => Value::Float(if rng.gen_bool(0.5) {
+            EDGE_FLOATS[rng.gen_range(0..EDGE_FLOATS.len())]
+        } else {
+            // Random bit patterns, kept finite: non-finite floats are
+            // `Value::Null` at the serde layer.
+            let f = f64::from_bits(rng.gen());
+            if f.is_finite() {
+                f
+            } else {
+                1.5
+            }
+        }),
+        5 => Value::Str(KEYS[rng.gen_range(0..KEYS.len())].repeat(rng.gen_range(0..3))),
+        6 => Value::Seq(
+            (0..rng.gen_range(0..4))
+                .map(|_| value(depth + 1, rng))
+                .collect(),
+        ),
+        _ => Value::Map(
+            (0..rng.gen_range(0..4))
+                .map(|_| {
+                    let key = KEYS[rng.gen_range(0..KEYS.len())].to_string();
+                    (key, value(depth + 1, rng))
+                })
+                .collect(),
+        ),
+    }
+}
+
+/// Discriminant indices of every node in a tree.
+fn variants_in(value: &Value, seen: &mut [bool; 8]) {
+    let index = match value {
+        Value::Null => 0,
+        Value::Bool(_) => 1,
+        Value::UInt(_) => 2,
+        Value::Int(_) => 3,
+        Value::Float(_) => 4,
+        Value::Str(_) => 5,
+        Value::Seq(items) => {
+            items.iter().for_each(|v| variants_in(v, seen));
+            6
+        }
+        Value::Map(entries) => {
+            entries.iter().for_each(|(_, v)| variants_in(v, seen));
+            7
+        }
+    };
+    seen[index] = true;
+}
+
+/// Round trip that also pins the exact bits: a decoded tree re-encodes to
+/// the very same bytes (`==` on `Value` cannot tell `-0.0` from `0.0`).
+fn assert_state_round_trip(original: &Value, context: &str) -> Vec<u8> {
+    let blob = encode_state(original);
+    let back = decode_state(&blob).unwrap_or_else(|e| panic!("{context}: {e}"));
+    assert_eq!(&back, original, "{context}");
+    assert_eq!(encode_state(&back), blob, "{context}: bits changed");
+    blob
+}
+
+#[test]
+fn random_value_trees_round_trip_through_the_state_codec_bit_for_bit() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x57A7E);
+    let mut seen = [false; 8];
+    for round in 0..4 * ROUNDS {
+        let tree = value(0, &mut rng);
+        variants_in(&tree, &mut seen);
+        assert_state_round_trip(&tree, &format!("round {round}"));
+    }
+    assert_eq!(seen, [true; 8], "every Value variant");
+    // The empty containers and the sign of zero, on their own.
+    for edge in [
+        Value::Seq(Vec::new()),
+        Value::Map(Vec::new()),
+        Value::Str(String::new()),
+        Value::Float(-0.0),
+    ] {
+        assert_state_round_trip(&edge, &format!("{edge:?}"));
+    }
+    let negative_zero = decode_state(&encode_state(&Value::Float(-0.0))).unwrap();
+    assert!(matches!(negative_zero, Value::Float(z) if z.is_sign_negative()));
+}
+
+/// A fresh directory per test thread: tests share the process id.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "skm-state-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn tiny_spec(kind: BackendKind) -> EngineSpec {
+    EngineSpec {
+        kind,
+        stream: StreamConfig::new(2)
+            .with_bucket_size(4)
+            .with_kmeans_runs(1)
+            .with_lloyd_iterations(1),
+        shards: 2,
+        batch: 4,
+        nesting_depth: 2,
+        seed: 3,
+    }
+}
+
+/// A tenant's real checkpoint blob: the engine runs with a log, takes
+/// points and a strict query, and checkpoints; the blob is read back from
+/// the log directory.
+fn real_checkpoint(kind: BackendKind, points: usize) -> Vec<u8> {
+    let dir = temp_dir(kind.tag());
+    let config = WalConfig::new(dir.clone());
+    let engine = Engine::new(&tiny_spec(kind))
+        .unwrap()
+        .with_wal(config.clone())
+        .unwrap();
+    for i in 0..points {
+        let x = if i % 2 == 0 { -0.0 } else { 40.0 };
+        engine.ingest_in("t", &[x, i as f64 / 7.0]).unwrap();
+    }
+    engine.query_in("t", Freshness::Strict).unwrap();
+    engine.checkpoint_now_in("t").unwrap();
+    drop(engine);
+    let recovered = skm_wal::Wal::open(config.tenant_dir("t"), config.options()).unwrap();
+    let (_, blob) = recovered.checkpoint.expect("a checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+    blob
+}
+
+#[test]
+fn real_tenant_checkpoints_round_trip_through_the_state_codec() {
+    for kind in [
+        BackendKind::Cc,
+        BackendKind::Ct,
+        BackendKind::Rcc,
+        BackendKind::ShardedCc,
+    ] {
+        let blob = real_checkpoint(kind, 60);
+        let state = decode_state(&blob).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        let again = assert_state_round_trip(&state, kind.tag());
+        assert_eq!(again, blob, "{kind:?}: the log holds encode_state bytes");
+    }
+}
+
+/// Offsets of every node's tag byte in a state blob, read off the
+/// documented layout.
+fn tag_offsets(blob: &[u8]) -> Vec<usize> {
+    fn count_at(blob: &[u8], pos: usize) -> usize {
+        u32::from_le_bytes(blob[pos..pos + 4].try_into().unwrap()) as usize
+    }
+    fn walk(blob: &[u8], pos: &mut usize, out: &mut Vec<usize>) {
+        out.push(*pos);
+        let tag = blob[*pos];
+        *pos += 1;
+        match tag {
+            0x01..=0x03 => {}
+            0x04 => *pos += 16,
+            0x05 | 0x06 => *pos += 8,
+            0x07 => *pos += 4 + count_at(blob, *pos),
+            0x08 => {
+                let n = count_at(blob, *pos);
+                *pos += 4;
+                for _ in 0..n {
+                    walk(blob, pos, out);
+                }
+            }
+            0x09 => {
+                let n = count_at(blob, *pos);
+                *pos += 4;
+                for _ in 0..n {
+                    *pos += 4 + count_at(blob, *pos);
+                    walk(blob, pos, out);
+                }
+            }
+            other => panic!("unexpected tag {other:#04x} at {}", *pos - 1),
+        }
+    }
+    let mut pos = STATE_HEADER.len();
+    let mut out = Vec::new();
+    walk(blob, &mut pos, &mut out);
+    assert_eq!(pos, blob.len(), "layout walk covers the blob");
+    out
+}
+
+fn nested_seqs(depth: usize) -> Vec<u8> {
+    let mut blob = STATE_HEADER.to_vec();
+    for _ in 0..depth {
+        blob.push(0x08);
+        blob.extend_from_slice(&1u32.to_le_bytes());
+    }
+    blob.push(0x01);
+    blob
+}
+
+#[test]
+fn hostile_state_blobs_are_errors_not_panics() {
+    let blob = real_checkpoint(BackendKind::Cc, 12);
+    assert!(decode_state(&blob).is_ok());
+    assert_eq!(&blob[..STATE_HEADER.len()], &STATE_HEADER);
+
+    for cut in 0..blob.len() {
+        assert!(decode_state(&blob[..cut]).is_err(), "prefix {cut}");
+    }
+
+    let tags = tag_offsets(&blob);
+    assert!(tags.len() > 50, "fixture too small: {} nodes", tags.len());
+    for &at in &tags {
+        for unknown in [0x00, 0x0A, 0xFF] {
+            let mut bad = blob.clone();
+            bad[at] = unknown;
+            let err = decode_state(&bad).expect_err("unknown tag accepted");
+            assert!(err.contains("unknown state value tag"), "{at}: {err}");
+        }
+    }
+
+    let mut trailing = blob.clone();
+    trailing.push(0x01);
+    assert!(decode_state(&trailing).unwrap_err().contains("trailing"));
+
+    let mut wrong_format = blob.clone();
+    wrong_format[4] = 2;
+    assert!(decode_state(&wrong_format).is_err());
+
+    // Counts are checked against the bytes left before anything is
+    // allocated: a sequence, a map and a string each claiming more than
+    // the blob holds.
+    for tag in [0x07u8, 0x08, 0x09] {
+        let mut bad = STATE_HEADER.to_vec();
+        bad.push(tag);
+        bad.extend_from_slice(&u32::MAX.to_le_bytes());
+        bad.extend_from_slice(&[0x01; 64]);
+        assert!(decode_state(&bad).is_err(), "tag {tag:#04x}");
+    }
+    // A count that fits the bytes left, but not beside the elements its
+    // enclosing sequence still owes: refused at the count, so nested
+    // containers can never pre-allocate the same bytes twice.
+    let n = 100u32;
+    let mut owed = STATE_HEADER.to_vec();
+    owed.push(0x08);
+    owed.extend_from_slice(&2u32.to_le_bytes());
+    owed.push(0x08);
+    owed.extend_from_slice(&(n + 1).to_le_bytes());
+    owed.extend_from_slice(&vec![0x01; n as usize + 1]);
+    let err = decode_state(&owed).unwrap_err();
+    assert!(err.contains("does not fit"), "{err}");
+    // One element fewer is the well-formed twin.
+    owed[STATE_HEADER.len() + 6..STATE_HEADER.len() + 10].copy_from_slice(&n.to_le_bytes());
+    assert!(decode_state(&owed).is_ok());
+
+    assert!(decode_state(&nested_seqs(MAX_STATE_DEPTH)).is_ok());
+    let err = decode_state(&nested_seqs(MAX_STATE_DEPTH + 1)).unwrap_err();
+    assert!(err.contains("deeper than"), "{err}");
+
+    // What a text-checkpointing build left in the log: the JSON envelope.
+    let engine = Engine::new(&tiny_spec(BackendKind::Cc)).unwrap();
+    engine.ingest_in("t", &[1.0, 2.0]).unwrap();
+    let json = engine.snapshot_json_in("t").unwrap();
+    let err = decode_state(json.as_bytes()).unwrap_err();
+    assert!(err.contains("JSON"), "{err}");
 }

@@ -49,6 +49,11 @@ fn assert_still_usable(client: &mut Client, ingested_before: u64) {
 fn malformed_json_lines_get_typed_errors_not_dropped_connections() {
     let handle = start_server();
     let mut client = Client::connect(handle.addr()).unwrap();
+    // 64 KiB of nesting: far under the line cap, far past the parser's
+    // depth bound. Unbounded recursion overflowed the handler's stack and
+    // aborted the whole server.
+    let deep_array = "[".repeat(64 * 1024);
+    let deep_object = "{\"a\":".repeat(64 * 1024 / 5);
     for bad in [
         "this is not json",
         "{\"Ingest\":",
@@ -56,6 +61,8 @@ fn malformed_json_lines_get_typed_errors_not_dropped_connections() {
         "{\"Ingest\":{\"point\":\"strings are not points\"}}",
         "[1,2,3]",
         "42",
+        deep_array.as_str(),
+        deep_object.as_str(),
     ] {
         expect_error(
             client.send_raw_line(bad).unwrap(),
