@@ -25,7 +25,7 @@ fn bench_coreset_construct(c: &mut Criterion) {
                 let mut rng = ChaCha8Rng::seed_from_u64(11);
                 b.iter(|| {
                     builder
-                        .build(dataset.points(), Span::single(1), 1, &mut rng)
+                        .build_block(dataset.points(), Span::single(1), 1, &mut rng)
                         .unwrap()
                 });
             });

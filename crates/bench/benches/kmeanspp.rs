@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use skm_bench::workloads::{build_dataset, DatasetSpec};
-use skm_clustering::kmeanspp::kmeanspp;
+use skm_clustering::kmeanspp::kmeanspp_block;
 
 fn bench_kmeanspp(c: &mut Criterion) {
     let mut group = c.benchmark_group("kmeanspp_seed");
@@ -16,7 +16,7 @@ fn bench_kmeanspp(c: &mut Criterion) {
         for &k in &[10usize, 30] {
             group.bench_with_input(BenchmarkId::new(format!("n{n}"), k), &k, |b, &k| {
                 let mut rng = ChaCha8Rng::seed_from_u64(7);
-                b.iter(|| kmeanspp(dataset.points(), k, &mut rng).unwrap());
+                b.iter(|| kmeanspp_block(dataset.points(), k, &mut rng).unwrap());
             });
         }
     }

@@ -17,9 +17,9 @@ use skm_bench::figures::{harness_config, print_tables, DEFAULT_ALPHA};
 use skm_bench::runner::{make_algorithm, run_stream, AlgorithmKind};
 use skm_bench::workloads::{build_dataset, DatasetSpec};
 use skm_bench::BenchArgs;
-use skm_clustering::cost::kmeans_cost;
+use skm_clustering::cost::kmeans_cost_block;
 use skm_clustering::kmedian::kmedian_cost;
-use skm_clustering::PointSet;
+use skm_clustering::PointBlock;
 use skm_data::QuerySchedule;
 use skm_metrics::Table;
 use skm_stream::prelude::*;
@@ -85,7 +85,7 @@ fn decay_comparison(args: &BenchArgs) -> Table {
     let dataset = build_dataset(DatasetSpec::Drift, args.points, args.seed);
     let k = args.k;
     let tail_start = dataset.len() - dataset.len() / 10;
-    let mut tail = PointSet::new(dataset.dim());
+    let mut tail = PointBlock::new(dataset.dim());
     for (i, p) in dataset.stream().enumerate() {
         if i >= tail_start {
             tail.push(p, 1.0);
@@ -117,7 +117,7 @@ fn decay_comparison(args: &BenchArgs) -> Table {
         ),
         ("CC", cc.query().expect("query"), cc.memory_points()),
     ] {
-        let cost = kmeans_cost(&tail, &centers).expect("cost");
+        let cost = kmeans_cost_block(&tail, &centers).expect("cost");
         table.push_row(vec![
             name.to_string(),
             format!("{cost:.4e}"),
@@ -164,7 +164,7 @@ fn kmedian_comparison(args: &BenchArgs) -> Table {
             name.to_string(),
             format!(
                 "{:.4e}",
-                kmeans_cost(dataset.points(), centers).expect("cost")
+                kmeans_cost_block(dataset.points(), centers).expect("cost")
             ),
             format!(
                 "{:.4e}",

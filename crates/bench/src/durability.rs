@@ -31,7 +31,7 @@
 
 use crate::report::{AlgorithmReport, LatencySummary, WorkloadReport, SCHEMA_VERSION};
 use crate::workloads::{build_dataset, DatasetSpec};
-use skm_clustering::cost::kmeans_cost;
+use skm_clustering::cost::kmeans_cost_block;
 use skm_clustering::error::{ClusteringError, Result};
 use skm_clustering::Centers;
 use skm_metrics::memory_bytes;
@@ -182,7 +182,7 @@ pub fn measure_durability_workload(points: usize, k: usize, seed: u64) -> Result
         .with_bucket_size(20 * k)
         .with_kmeans_runs(1)
         .with_lloyd_iterations(5);
-    let rows: Vec<Vec<f64>> = dataset.points().iter().map(|(p, _)| p.to_vec()).collect();
+    let rows: Vec<Vec<f64>> = dataset.stream().map(<[f64]>::to_vec).collect();
 
     let mut algorithms = Vec::new();
     let mut recovery_dir: Option<PathBuf> = None;
@@ -193,7 +193,7 @@ pub fn measure_durability_workload(points: usize, k: usize, seed: u64) -> Result
                 None => None,
             };
             let (mut cell, centers) = run_cell(&rows, config, seed, fsync_ms, batch, dir.as_ref())?;
-            cell.final_cost = kmeans_cost(dataset.points(), &centers)?;
+            cell.final_cost = kmeans_cost_block(dataset.points(), &centers)?;
             algorithms.push(cell);
             // The strongest-guarantee single-point cell leaves the densest
             // log behind — that is the directory the recovery cell reopens.
@@ -207,7 +207,7 @@ pub fn measure_durability_workload(points: usize, k: usize, seed: u64) -> Result
 
     let dir = recovery_dir.expect("the fsync0/batch=1 cell ran");
     let (mut recover, centers) = run_recovery_cell(&rows, config, seed, &dir)?;
-    recover.final_cost = kmeans_cost(dataset.points(), &centers)?;
+    recover.final_cost = kmeans_cost_block(dataset.points(), &centers)?;
     algorithms.push(recover);
     let _ = std::fs::remove_dir_all(&dir);
 

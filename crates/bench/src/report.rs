@@ -22,15 +22,15 @@
 //!
 //! All latencies are nanoseconds. `update_ns` summarizes one sample per
 //! stream point, `query_ns` one sample per issued query, and
-//! `coreset_build_ns` one sample per repeated `CoresetBuilder::build` over
-//! the workload prefix. `peak_memory_bytes` is the maximum of the paper's
-//! memory accounting (stored points × dim × 8 bytes) observed during the
-//! stream.
+//! `coreset_build_ns` one sample per repeated
+//! `CoresetBuilder::build_block` over the workload prefix.
+//! `peak_memory_bytes` is the maximum of the paper's memory accounting
+//! (stored points × dim × 8 bytes) observed during the stream.
 
 use crate::runner::{make_algorithm, AlgorithmKind};
 use crate::workloads::{build_dataset, DatasetSpec};
 use serde::{Deserialize, Serialize};
-use skm_clustering::cost::kmeans_cost;
+use skm_clustering::cost::kmeans_cost_block;
 use skm_clustering::error::Result;
 use skm_coreset::construct::CoresetBuilder;
 use skm_coreset::Span;
@@ -348,8 +348,8 @@ pub fn measure_workload(
     // algorithms summarize per bucket (two buckets' worth of points).
     let builder = CoresetBuilder::new(k).with_size(config.bucket_size);
     let prefix_len = (2 * config.bucket_size).min(dataset.len());
-    let mut prefix = skm_clustering::PointSet::with_capacity(dataset.dim(), prefix_len);
-    for (p, w) in dataset.points().iter().take(prefix_len) {
+    let mut prefix = skm_clustering::PointBlock::with_capacity(dataset.dim(), prefix_len);
+    for (p, w, _) in dataset.points().iter().take(prefix_len) {
         prefix.push(p, w);
     }
     let mut build_samples = Vec::with_capacity(CORESET_BUILD_REPS);
@@ -358,7 +358,7 @@ pub fn measure_workload(
             seed ^ (0x0C0D_E5E7 + rep as u64),
         );
         let start = Instant::now();
-        let coreset = builder.build(&prefix, Span::single(1), 0, &mut rng)?;
+        let coreset = builder.build_block(&prefix, Span::single(1), 0, &mut rng)?;
         if rep >= CORESET_BUILD_WARMUP {
             build_samples.push(start.elapsed().as_nanos() as f64);
         }
@@ -398,7 +398,7 @@ pub fn measure_workload(
         }
 
         let final_centers = final_centers.expect("STREAM_REPS >= 1");
-        let final_cost = kmeans_cost(dataset.points(), &final_centers)?;
+        let final_cost = kmeans_cost_block(dataset.points(), &final_centers)?;
         algorithms.push(AlgorithmReport {
             algorithm: kind.name().to_string(),
             update_ns: LatencySummary::from_samples(&update_samples)

@@ -2,7 +2,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use skm_clustering::cost::kmeans_cost;
+use skm_clustering::cost::kmeans_cost_block;
 use skm_clustering::error::Result;
 use skm_clustering::Centers;
 use skm_data::{Dataset, QuerySchedule};
@@ -145,7 +145,7 @@ pub fn run_stream(
     let final_centers: Centers = algorithm.query()?;
     timer.add_query(start.elapsed(), 1);
 
-    let final_cost = kmeans_cost(dataset.points(), &final_centers)?;
+    let final_cost = kmeans_cost_block(dataset.points(), &final_centers)?;
 
     let measurement = RunMeasurement {
         update_seconds: timer.update_seconds(),

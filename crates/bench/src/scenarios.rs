@@ -28,7 +28,7 @@
 use crate::report::{AlgorithmReport, LatencySummary, WorkloadReport, SCHEMA_VERSION};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use skm_clustering::cost::kmeans_cost;
+use skm_clustering::cost::kmeans_cost_block;
 use skm_clustering::error::Result;
 use skm_clustering::Centers;
 use skm_data::{hostile, Dataset};
@@ -116,7 +116,7 @@ fn run_cell(name: &str, dataset: &Dataset, k: usize, seed: u64) -> Result<Algori
         update_ns: LatencySummary::from_samples(&update_ns).expect("at least one ingest batch"),
         query_ns: LatencySummary::from_samples(&query_ns).expect("at least one strict query"),
         peak_memory_bytes: memory_bytes(engine.memory_points(), dim) as u64,
-        final_cost: kmeans_cost(dataset.points(), &centers)?,
+        final_cost: kmeans_cost_block(dataset.points(), &centers)?,
     })
 }
 

@@ -42,7 +42,7 @@
 
 use crate::report::{AlgorithmReport, LatencySummary, WorkloadReport, SCHEMA_VERSION};
 use crate::workloads::{build_dataset, DatasetSpec};
-use skm_clustering::cost::kmeans_cost;
+use skm_clustering::cost::kmeans_cost_block;
 use skm_clustering::error::{ClusteringError, Result};
 use skm_clustering::Centers;
 use skm_metrics::memory_bytes;
@@ -311,12 +311,12 @@ pub fn measure_serving_workload(points: usize, k: usize, seed: u64) -> Result<Wo
         .with_bucket_size(20 * k)
         .with_kmeans_runs(1)
         .with_lloyd_iterations(5);
-    let rows: Vec<Vec<f64>> = dataset.points().iter().map(|(p, _)| p.to_vec()).collect();
+    let rows: Vec<Vec<f64>> = dataset.stream().map(<[f64]>::to_vec).collect();
 
     let mut algorithms = Vec::new();
     for cell in cells() {
         let (mut cell_report, final_centers) = run_cell(&rows, config, cell, seed)?;
-        cell_report.final_cost = kmeans_cost(dataset.points(), &final_centers)?;
+        cell_report.final_cost = kmeans_cost_block(dataset.points(), &final_centers)?;
         algorithms.push(cell_report);
     }
 

@@ -22,7 +22,7 @@ use crate::report::{AlgorithmReport, LatencySummary, WorkloadReport, SCHEMA_VERS
 use crate::workloads::{build_dataset, DatasetSpec};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use skm_clustering::cost::kmeans_cost;
+use skm_clustering::cost::kmeans_cost_block;
 use skm_clustering::error::Result;
 use skm_coreset::construct::CoresetBuilder;
 use skm_coreset::Span;
@@ -118,7 +118,7 @@ where
         update_ns: LatencySummary::from_samples(&update_samples).expect("REPS >= 1"),
         query_ns: LatencySummary::from_samples(&query_samples).expect("REPS >= 1"),
         peak_memory_bytes: memory_bytes(peak_points, dataset.dim()) as u64,
-        final_cost: kmeans_cost(dataset.points(), &final_centers)?,
+        final_cost: kmeans_cost_block(dataset.points(), &final_centers)?,
     })
 }
 
@@ -143,15 +143,15 @@ pub fn measure_sharded_workload(points: usize, k: usize, seed: u64) -> Result<Wo
     // workload-level field carries a real measurement here too.
     let builder = CoresetBuilder::new(k).with_size(config.bucket_size);
     let prefix_len = (2 * config.bucket_size).min(dataset.len());
-    let mut prefix = skm_clustering::PointSet::with_capacity(dataset.dim(), prefix_len);
-    for (p, w) in dataset.points().iter().take(prefix_len) {
+    let mut prefix = skm_clustering::PointBlock::with_capacity(dataset.dim(), prefix_len);
+    for (p, w, _) in dataset.points().iter().take(prefix_len) {
         prefix.push(p, w);
     }
     let mut build_samples = Vec::with_capacity(REPS);
     for rep in 0..REPS {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (0x5AA8_D000 + rep as u64));
         let start = Instant::now();
-        let coreset = builder.build(&prefix, Span::single(1), 0, &mut rng)?;
+        let coreset = builder.build_block(&prefix, Span::single(1), 0, &mut rng)?;
         build_samples.push(start.elapsed().as_nanos() as f64);
         assert!(coreset.len() <= prefix_len);
     }

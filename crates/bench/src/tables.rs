@@ -274,7 +274,7 @@ pub fn ablation_merge_degree(args: &BenchArgs) -> Result<Table> {
         }
         let centers = cc.query()?;
         let total = start.elapsed().as_secs_f64();
-        let cost = skm_clustering::cost::kmeans_cost(dataset.points(), &centers)?;
+        let cost = skm_clustering::cost::kmeans_cost_block(dataset.points(), &centers)?;
         let avg = |v: &[f64]| {
             if v.is_empty() {
                 0.0

@@ -1,31 +1,31 @@
-//! Flat structure-of-arrays point storage with cached squared norms.
+//! Weighted point blocks with flat storage and cached squared norms.
 //!
-//! [`PointBlock`] is the hot-path representation used by every
-//! distance-heavy inner loop in the workspace: one contiguous `Vec<f64>` of
-//! `n × d` coordinates, a parallel weight slice, and a cached `‖x‖²` per
-//! point. The cached norms are what make the fused distance kernel
+//! A [`PointBlock`] is one contiguous `Vec<f64>` of `n × d` coordinates, a
+//! parallel weight slice, and a cached `‖x‖²` per point. The cached norms
+//! are what make the fused distance kernel
 //! ([`crate::distance::sq_dist_block`]) pay off — once `‖x‖²` is known,
 //! every `‖x − c‖²` collapses to a single dot product, and the norms are
 //! computed exactly once per point no matter how many passes k-means++
-//! seeding, Lloyd iterations or repeated k-means runs make over the data.
-//!
-//! [`BlockView`] is the borrowed form that the kernels actually consume. It
-//! lets [`crate::PointSet`]-based public APIs stay thin adapters: they
-//! compute a norm cache once per call, borrow the coordinates they already
-//! own, and hand a `BlockView` to the same fused core the block-native
-//! entry points use.
+//! seeding, Lloyd iterations, repeated k-means runs or later merges make
+//! over the data.
 
 use crate::distance::{squared_norm, squared_norms};
 use crate::error::{ClusteringError, Result};
-use crate::point::PointSet;
 use serde::{Deserialize, Serialize, Value};
 
 /// A weighted point block in `R^d`: flat row-major coordinates, per-point
 /// weights and cached squared norms, all in parallel arrays.
 ///
-/// Unlike [`PointSet`] (the general-purpose container used for storage and
-/// serialization), a `PointBlock` maintains `norms[i] = ‖point i‖²` as an
-/// invariant on every push, so fused distance kernels never recompute norms.
+/// The paper's Problem 1 (k-means clustering) is defined over a *weighted*
+/// point set `P ⊆ R^d` with weight function `w : P → Z+`, and its coresets
+/// are weighted point sets too, so this one container holds datasets,
+/// bucket buffers, stored coresets and query candidates alike. Weights are
+/// real-valued because merged coresets carry fractional weights in some
+/// constructions.
+///
+/// `norms[i] = ‖point i‖²` is an invariant maintained on every push (and
+/// rebuilt on deserialization), so fused distance kernels never recompute
+/// norms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointBlock {
     dim: usize,
@@ -59,32 +59,6 @@ impl PointBlock {
             coords: Vec::with_capacity(capacity * dim),
             weights: Vec::with_capacity(capacity),
             norms: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Builds a block from a [`PointSet`], computing the norm cache in one
-    /// `O(nd)` pass.
-    #[must_use]
-    pub fn from_point_set(points: &PointSet) -> Self {
-        Self {
-            dim: points.dim(),
-            coords: points.coords().to_vec(),
-            weights: points.weights().to_vec(),
-            norms: squared_norms(points.coords(), points.dim()),
-        }
-    }
-
-    /// Builds a block by taking ownership of a [`PointSet`]'s buffers (no
-    /// coordinate copy); only the norm cache is computed.
-    #[must_use]
-    pub fn from_point_set_owned(points: PointSet) -> Self {
-        let (dim, coords, weights) = points.into_raw();
-        let norms = squared_norms(&coords, dim);
-        Self {
-            dim,
-            coords,
-            weights,
-            norms,
         }
     }
 
@@ -126,6 +100,9 @@ impl PointBlock {
 
     /// Appends a point, computing and caching its squared norm.
     ///
+    /// Only the dimension is checked; computed weights go through
+    /// [`PointBlock::try_push`].
+    ///
     /// # Panics
     /// Panics if the point's dimension differs from the block's dimension.
     #[inline]
@@ -155,27 +132,11 @@ impl PointBlock {
         Ok(())
     }
 
-    /// Appends every point of `set`, extending the norm cache.
-    ///
-    /// # Errors
-    /// Returns an error if dimensions differ.
-    pub fn extend_from_set(&mut self, set: &PointSet) -> Result<()> {
-        if set.dim() != self.dim {
-            return Err(ClusteringError::DimensionMismatch {
-                expected: self.dim,
-                got: set.dim(),
-            });
-        }
-        self.coords.extend_from_slice(set.coords());
-        self.weights.extend_from_slice(set.weights());
-        self.norms
-            .extend(set.coords().chunks_exact(self.dim).map(squared_norm));
-        Ok(())
-    }
-
     /// Appends every point of `other`, **reusing** its cached norms instead
-    /// of recomputing them — this is how query paths thread the norms a
-    /// bucket buffer computed at update time through to the fused kernels.
+    /// of recomputing them. This is the multiset union of Observation 1 of
+    /// the paper (the union of coresets of disjoint point sets), and how the
+    /// norms a bucket buffer computed at update time reach every later
+    /// merge and query.
     ///
     /// # Errors
     /// Returns an error if dimensions differ.
@@ -189,21 +150,6 @@ impl PointBlock {
         self.coords.extend_from_slice(&other.coords);
         self.weights.extend_from_slice(&other.weights);
         self.norms.extend_from_slice(&other.norms);
-        Ok(())
-    }
-
-    /// Appends every point of this block to `set`.
-    ///
-    /// # Errors
-    /// Returns an error if dimensions differ.
-    pub fn append_to(&self, set: &mut PointSet) -> Result<()> {
-        if set.dim() != self.dim {
-            return Err(ClusteringError::DimensionMismatch {
-                expected: set.dim(),
-                got: self.dim,
-            });
-        }
-        set.extend_from_raw(&self.coords, &self.weights);
         Ok(())
     }
 
@@ -255,7 +201,17 @@ impl PointBlock {
         &self.norms
     }
 
-    /// Sum of all weights.
+    /// Iterator over `(coordinates, weight, squared norm)` triples, in
+    /// point order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[f64], f64, f64)> + '_ {
+        self.coords
+            .chunks_exact(self.dim)
+            .zip(self.weights.iter().copied())
+            .zip(self.norms.iter().copied())
+            .map(|((p, w), n)| (p, w, n))
+    }
+
+    /// Sum of all weights (`Σ w(x)`).
     #[must_use]
     pub fn total_weight(&self) -> f64 {
         self.weights.iter().sum()
@@ -266,32 +222,6 @@ impl PointBlock {
         self.coords.clear();
         self.weights.clear();
         self.norms.clear();
-    }
-
-    /// Borrowed view suitable for the fused kernels.
-    #[must_use]
-    pub fn view(&self) -> BlockView<'_> {
-        BlockView {
-            dim: self.dim,
-            coords: &self.coords,
-            weights: &self.weights,
-            norms: &self.norms,
-        }
-    }
-
-    /// Converts into a [`PointSet`] by moving the coordinate and weight
-    /// buffers (no copy); the norm cache is dropped.
-    #[must_use]
-    pub fn into_point_set(self) -> PointSet {
-        PointSet::from_rows(self.dim, self.coords, self.weights)
-            .expect("PointBlock invariants guarantee a valid PointSet")
-    }
-
-    /// Copies the block into a fresh [`PointSet`].
-    #[must_use]
-    pub fn to_point_set(&self) -> PointSet {
-        PointSet::from_rows(self.dim, self.coords.clone(), self.weights.clone())
-            .expect("PointBlock invariants guarantee a valid PointSet")
     }
 }
 
@@ -323,7 +253,7 @@ impl Deserialize for PointBlock {
                 "PointBlock dimension must be positive",
             ));
         }
-        if coords.len() != weights.len() * dim {
+        if weights.len().checked_mul(dim) != Some(coords.len()) {
             return Err(serde::Error::custom(
                 "PointBlock coordinate/weight lengths are inconsistent",
             ));
@@ -352,124 +282,6 @@ impl Deserialize for PointBlock {
     }
 }
 
-impl From<&PointSet> for PointBlock {
-    fn from(points: &PointSet) -> Self {
-        PointBlock::from_point_set(points)
-    }
-}
-
-impl From<PointBlock> for PointSet {
-    fn from(block: PointBlock) -> Self {
-        block.into_point_set()
-    }
-}
-
-/// Borrowed structure-of-arrays view over weighted points with a norm cache.
-///
-/// This is the argument type of every fused inner loop. Block-native code
-/// gets it from [`PointBlock::view`]; [`PointSet`] adapters build it with
-/// [`BlockView::over`] after computing a norm cache once per call.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockView<'a> {
-    dim: usize,
-    coords: &'a [f64],
-    weights: &'a [f64],
-    norms: &'a [f64],
-}
-
-impl<'a> BlockView<'a> {
-    /// Builds a view over a [`PointSet`] and a caller-provided norm cache
-    /// (one `‖x‖²` per point, e.g. from [`squared_norms`]).
-    ///
-    /// # Panics
-    /// Panics if `norms` does not have exactly one entry per point.
-    #[must_use]
-    pub fn over(points: &'a PointSet, norms: &'a [f64]) -> Self {
-        assert_eq!(norms.len(), points.len(), "norm cache length mismatch");
-        Self {
-            dim: points.dim(),
-            coords: points.coords(),
-            weights: points.weights(),
-            norms,
-        }
-    }
-
-    /// Dimension `d` of the points.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of points in the view.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Returns `true` when the view covers no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
-    /// Coordinates of point `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    #[inline]
-    pub fn point(&self, i: usize) -> &'a [f64] {
-        &self.coords[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// Weight of point `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    #[inline]
-    pub fn weight(&self, i: usize) -> f64 {
-        self.weights[i]
-    }
-
-    /// Cached squared norm of point `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    #[inline]
-    pub fn norm(&self, i: usize) -> f64 {
-        self.norms[i]
-    }
-
-    /// Raw row-major coordinates.
-    #[must_use]
-    pub fn coords(&self) -> &'a [f64] {
-        self.coords
-    }
-
-    /// Raw weights.
-    #[must_use]
-    pub fn weights(&self) -> &'a [f64] {
-        self.weights
-    }
-
-    /// Raw norm cache.
-    #[must_use]
-    pub fn norms(&self) -> &'a [f64] {
-        self.norms
-    }
-
-    /// Iterator over `(coordinates, weight, squared norm)` triples.
-    pub fn iter(&self) -> impl Iterator<Item = (&'a [f64], f64, f64)> + 'a {
-        self.coords
-            .chunks_exact(self.dim)
-            .zip(self.weights.iter().copied())
-            .zip(self.norms.iter().copied())
-            .map(|((p, w), n)| (p, w, n))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,6 +299,7 @@ mod tests {
     fn push_maintains_norm_cache() {
         let b = sample_block();
         assert_eq!(b.len(), 3);
+        assert_eq!(b.dim(), 2);
         assert_eq!(b.norms(), &[25.0, 1.0, 0.0]);
         assert_eq!(b.point(0), &[3.0, 4.0]);
         assert_eq!(b.weight(1), 2.0);
@@ -497,33 +310,20 @@ mod tests {
     #[test]
     fn try_push_validates() {
         let mut b = PointBlock::new(2);
-        assert!(b.try_push(&[1.0], 1.0).is_err());
-        assert!(b.try_push(&[1.0, 2.0], -1.0).is_err());
+        assert_eq!(
+            b.try_push(&[1.0, 2.0, 3.0], 1.0).unwrap_err(),
+            ClusteringError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            }
+        );
+        assert_eq!(
+            b.try_push(&[1.0, 2.0], -1.0).unwrap_err(),
+            ClusteringError::InvalidWeight { index: 0 }
+        );
         assert!(b.try_push(&[1.0, 2.0], f64::NAN).is_err());
         assert!(b.try_push(&[1.0, 2.0], 1.0).is_ok());
         assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn round_trips_with_point_set() {
-        let b = sample_block();
-        let set = b.to_point_set();
-        assert_eq!(set.len(), 3);
-        assert_eq!(set.point(0), &[3.0, 4.0]);
-        let back = PointBlock::from_point_set(&set);
-        assert_eq!(back, b);
-        let moved = b.clone().into_point_set();
-        assert_eq!(moved, set);
-    }
-
-    #[test]
-    fn extend_from_set_extends_norms() {
-        let mut b = PointBlock::new(2);
-        let set = sample_block().to_point_set();
-        b.extend_from_set(&set).unwrap();
-        assert_eq!(b.norms(), &[25.0, 1.0, 0.0]);
-        let bad = PointSet::new(3);
-        assert!(b.extend_from_set(&bad).is_err());
     }
 
     #[test]
@@ -533,30 +333,11 @@ mod tests {
         let other = sample_block();
         b.extend_from_block(&other).unwrap();
         assert_eq!(b.len(), 4);
+        assert!((b.total_weight() - 4.5).abs() < 1e-12);
         assert_eq!(b.norms(), &[2.0, 25.0, 1.0, 0.0]);
         assert_eq!(b.point(1), &[3.0, 4.0]);
         let wrong = PointBlock::new(3);
         assert!(b.extend_from_block(&wrong).is_err());
-    }
-
-    #[test]
-    fn from_point_set_owned_matches_borrowed_conversion() {
-        let set = sample_block().to_point_set();
-        let owned = PointBlock::from_point_set_owned(set.clone());
-        assert_eq!(owned, PointBlock::from_point_set(&set));
-    }
-
-    #[test]
-    fn append_to_copies_points_and_weights() {
-        let b = sample_block();
-        let mut set = PointSet::new(2);
-        set.push(&[9.0, 9.0], 4.0);
-        b.append_to(&mut set).unwrap();
-        assert_eq!(set.len(), 4);
-        assert_eq!(set.point(1), &[3.0, 4.0]);
-        assert_eq!(set.weight(3), 0.5);
-        let mut wrong = PointSet::new(3);
-        assert!(b.append_to(&mut wrong).is_err());
     }
 
     #[test]
@@ -584,34 +365,15 @@ mod tests {
     }
 
     #[test]
-    fn view_exposes_consistent_triples() {
+    fn iter_yields_consistent_triples() {
         let b = sample_block();
-        let view = b.view();
-        assert_eq!(view.len(), 3);
-        assert_eq!(view.dim(), 2);
-        for (i, (p, w, n)) in view.iter().enumerate() {
-            assert_eq!(p, view.point(i));
-            assert_eq!(w, view.weight(i));
+        assert_eq!(b.iter().count(), 3);
+        for (i, (p, w, n)) in b.iter().enumerate() {
+            assert_eq!(p, b.point(i));
+            assert_eq!(w, b.weight(i));
             assert!((n - squared_distance(p, &[0.0, 0.0])).abs() < 1e-12);
-            assert_eq!(n, view.norm(i));
+            assert_eq!(n, b.norm(i));
         }
-    }
-
-    #[test]
-    fn view_over_point_set_with_norms() {
-        let set = sample_block().to_point_set();
-        let norms = squared_norms(set.coords(), set.dim());
-        let view = BlockView::over(&set, &norms);
-        assert_eq!(view.norm(0), 25.0);
-        assert_eq!(view.weights(), set.weights());
-    }
-
-    #[test]
-    #[should_panic(expected = "norm cache length mismatch")]
-    fn view_over_rejects_wrong_norm_count() {
-        let set = sample_block().to_point_set();
-        let norms = [1.0];
-        let _ = BlockView::over(&set, &norms);
     }
 
     #[test]
@@ -640,6 +402,10 @@ mod tests {
         ]);
         assert!(PointBlock::from_value(&bad).is_err());
         assert!(PointBlock::from_value(&Value::Null).is_err());
+        // Two weights times 2^63 wraps to zero coordinates: an overflowing
+        // shape must be refused, not taken for an empty block.
+        let wrapping = r#"{"dim":9223372036854775808,"coords":[],"weights":[1,1]}"#;
+        assert!(serde_json::from_str::<PointBlock>(wrapping).is_err());
     }
 
     #[test]

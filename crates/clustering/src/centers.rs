@@ -8,10 +8,11 @@ use serde::{Deserialize, Serialize};
 
 /// A set of cluster centers in `R^d` with flat row-major storage.
 ///
-/// Unlike [`crate::PointSet`], centers carry an optional per-center weight
-/// (the total weight of the points assigned to the center). The sequential
-/// k-means algorithm (MacQueen) needs those weights to compute running
-/// centroids; batch algorithms may ignore them.
+/// Unlike a [`crate::PointBlock`], centers keep no norm cache (they move
+/// every Lloyd iteration), and each per-center weight is the total weight
+/// of the points assigned to the center. The sequential k-means algorithm
+/// (MacQueen) needs those weights to compute running centroids; batch
+/// algorithms may ignore them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Centers {
     dim: usize,

@@ -5,16 +5,13 @@
 //! `φ_Ψ(P) = Σ_{x∈P} w(x) · D²(x, Ψ)` — the within-cluster sum of squares
 //! (SSQ) used as the accuracy metric throughout the evaluation.
 //!
-//! All entry points route through one fused inner loop over a
-//! [`BlockView`]: the [`PointSet`] adapters compute a squared-norm cache
-//! once per call, while the `_block` variants reuse the norms cached in a
-//! [`PointBlock`].
+//! Both entry points run one fused inner loop over a [`PointBlock`],
+//! reusing the squared norms it caches.
 
-use crate::block::{BlockView, PointBlock};
+use crate::block::PointBlock;
 use crate::centers::Centers;
 use crate::distance::{nearest_block_row, squared_norms};
 use crate::error::{ClusteringError, Result};
-use crate::point::PointSet;
 
 fn check_shapes(points_dim: usize, centers: &Centers) -> Result<()> {
     if centers.is_empty() {
@@ -29,40 +26,28 @@ fn check_shapes(points_dim: usize, centers: &Centers) -> Result<()> {
     Ok(())
 }
 
-/// Weighted k-means cost `φ_Ψ(P)` of `points` with respect to `centers`.
+/// Weighted k-means cost `φ_Ψ(P)` of `block` with respect to `centers`.
 ///
-/// Returns `0.0` for an empty point set (an empty sum), and an error when the
+/// Returns `0.0` for an empty block (an empty sum), and an error when the
 /// center set is empty or dimensions do not match.
 ///
 /// # Errors
 /// Returns [`ClusteringError::EmptyInput`] when `centers` is empty and
-/// `points` is not, or a dimension mismatch error.
-pub fn kmeans_cost(points: &PointSet, centers: &Centers) -> Result<f64> {
-    if points.is_empty() {
-        return Ok(0.0);
-    }
-    check_shapes(points.dim(), centers)?;
-    let norms = squared_norms(points.coords(), points.dim());
-    Ok(kmeans_cost_view(BlockView::over(points, &norms), centers))
-}
-
-/// [`kmeans_cost`] over a [`PointBlock`], reusing its cached norms.
-///
-/// # Errors
-/// Same failure modes as [`kmeans_cost`].
+/// `block` is not, or a dimension mismatch error.
 pub fn kmeans_cost_block(block: &PointBlock, centers: &Centers) -> Result<f64> {
     if block.is_empty() {
         return Ok(0.0);
     }
     check_shapes(block.dim(), centers)?;
-    Ok(kmeans_cost_view(block.view(), centers))
+    Ok(kmeans_cost_view(block, centers))
 }
 
-/// Fused-kernel core of [`kmeans_cost`]. The caller has validated shapes.
-pub(crate) fn kmeans_cost_view(view: BlockView<'_>, centers: &Centers) -> f64 {
+/// Fused-kernel core of [`kmeans_cost_block`]. The caller has validated
+/// shapes.
+pub(crate) fn kmeans_cost_view(block: &PointBlock, centers: &Centers) -> f64 {
     let center_norms = squared_norms(centers.coords(), centers.dim());
     let mut cost = 0.0;
-    for (p, w, n) in view.iter() {
+    for (p, w, n) in block.iter() {
         let (_, d2) = nearest_block_row(p, n, centers.coords(), &center_norms, centers.dim())
             .expect("non-empty centers");
         cost += w * d2;
@@ -75,38 +60,28 @@ pub(crate) fn kmeans_cost_view(view: BlockView<'_>, centers: &Centers) -> f64 {
 pub struct Assignment {
     /// `labels[i]` is the index of the nearest center for point `i`.
     pub labels: Vec<usize>,
-    /// Total weighted cost of the assignment (equals [`kmeans_cost`]).
+    /// Total weighted cost of the assignment (equals [`kmeans_cost_block`]).
     pub cost: f64,
     /// Total weight assigned to each center.
     pub cluster_weights: Vec<f64>,
 }
 
-/// Assigns every point of `points` to its nearest center in `centers`.
+/// Assigns every point of `block` to its nearest center in `centers`.
 ///
 /// # Errors
-/// Same failure modes as [`kmeans_cost`].
-pub fn assign(points: &PointSet, centers: &Centers) -> Result<Assignment> {
-    check_shapes(points.dim(), centers)?;
-    let norms = squared_norms(points.coords(), points.dim());
-    Ok(assign_view(BlockView::over(points, &norms), centers))
-}
-
-/// [`assign`] over a [`PointBlock`], reusing its cached norms.
-///
-/// # Errors
-/// Same failure modes as [`kmeans_cost`].
+/// Same failure modes as [`kmeans_cost_block`].
 pub fn assign_block(block: &PointBlock, centers: &Centers) -> Result<Assignment> {
     check_shapes(block.dim(), centers)?;
-    Ok(assign_view(block.view(), centers))
+    Ok(assign_view(block, centers))
 }
 
-/// Fused-kernel core of [`assign`]. The caller has validated shapes.
-pub(crate) fn assign_view(view: BlockView<'_>, centers: &Centers) -> Assignment {
+/// Fused-kernel core of [`assign_block`]. The caller has validated shapes.
+pub(crate) fn assign_view(block: &PointBlock, centers: &Centers) -> Assignment {
     let center_norms = squared_norms(centers.coords(), centers.dim());
-    let mut labels = Vec::with_capacity(view.len());
+    let mut labels = Vec::with_capacity(block.len());
     let mut cluster_weights = vec![0.0; centers.len()];
     let mut cost = 0.0;
-    for (p, w, n) in view.iter() {
+    for (p, w, n) in block.iter() {
         let (idx, d2) = nearest_block_row(p, n, centers.coords(), &center_norms, centers.dim())
             .expect("non-empty centers");
         labels.push(idx);
@@ -120,32 +95,13 @@ pub(crate) fn assign_view(view: BlockView<'_>, centers: &Centers) -> Assignment 
     }
 }
 
-/// Per-cluster contribution to the total cost. `result[j]` is the weighted
-/// SSQ of the points assigned to center `j`.
-///
-/// # Errors
-/// Same failure modes as [`kmeans_cost`].
-pub fn per_cluster_cost(points: &PointSet, centers: &Centers) -> Result<Vec<f64>> {
-    check_shapes(points.dim(), centers)?;
-    let norms = squared_norms(points.coords(), points.dim());
-    let view = BlockView::over(points, &norms);
-    let center_norms = squared_norms(centers.coords(), centers.dim());
-    let mut out = vec![0.0; centers.len()];
-    for (p, w, n) in view.iter() {
-        let (idx, d2) = nearest_block_row(p, n, centers.coords(), &center_norms, centers.dim())
-            .expect("non-empty centers");
-        out[idx] += w * d2;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn square_points() -> PointSet {
+    fn square_points() -> PointBlock {
         // Four unit-weight points at the corners of a 2x2 square.
-        let mut s = PointSet::new(2);
+        let mut s = PointBlock::new(2);
         s.push(&[0.0, 0.0], 1.0);
         s.push(&[2.0, 0.0], 1.0);
         s.push(&[0.0, 2.0], 1.0);
@@ -158,17 +114,17 @@ mod tests {
         let points = square_points();
         let centers = Centers::from_rows(2, &[vec![1.0, 1.0]]).unwrap();
         // Every point is at squared distance 2 from the centroid.
-        let cost = kmeans_cost(&points, &centers).unwrap();
+        let cost = kmeans_cost_block(&points, &centers).unwrap();
         assert!((cost - 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn cost_respects_weights() {
-        let mut points = PointSet::new(1);
+        let mut points = PointBlock::new(1);
         points.push(&[0.0], 3.0);
         points.push(&[4.0], 1.0);
         let centers = Centers::from_rows(1, &[vec![0.0]]).unwrap();
-        let cost = kmeans_cost(&points, &centers).unwrap();
+        let cost = kmeans_cost_block(&points, &centers).unwrap();
         assert!((cost - 16.0).abs() < 1e-12);
     }
 
@@ -185,37 +141,29 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(kmeans_cost(&points, &centers).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn empty_points_have_zero_cost() {
-        let points = PointSet::new(2);
-        let centers = Centers::from_rows(2, &[vec![0.0, 0.0]]).unwrap();
-        assert_eq!(kmeans_cost(&points, &centers).unwrap(), 0.0);
+        assert_eq!(kmeans_cost_block(&points, &centers).unwrap(), 0.0);
     }
 
     #[test]
     fn empty_centers_is_error() {
         let points = square_points();
         let centers = Centers::new(2);
-        assert!(kmeans_cost(&points, &centers).is_err());
-        assert!(assign(&points, &centers).is_err());
-        assert!(per_cluster_cost(&points, &centers).is_err());
+        assert!(kmeans_cost_block(&points, &centers).is_err());
+        assert!(assign_block(&points, &centers).is_err());
     }
 
     #[test]
     fn dim_mismatch_is_error() {
         let points = square_points();
         let centers = Centers::from_rows(3, &[vec![0.0, 0.0, 0.0]]).unwrap();
-        assert!(kmeans_cost(&points, &centers).is_err());
+        assert!(kmeans_cost_block(&points, &centers).is_err());
     }
 
     #[test]
     fn assignment_labels_and_weights() {
         let points = square_points();
         let centers = Centers::from_rows(2, &[vec![0.0, 0.0], vec![2.0, 2.0]]).unwrap();
-        let a = assign(&points, &centers).unwrap();
+        let a = assign_block(&points, &centers).unwrap();
         assert_eq!(a.labels, vec![0, 0, 0, 1]);
         // Ties ([2,0] and [0,2] are equidistant) resolve to the first center.
         assert_eq!(a.cluster_weights, vec![3.0, 1.0]);
@@ -223,32 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn block_variants_agree_with_point_set_variants() {
-        let points = square_points();
-        let block = PointBlock::from_point_set(&points);
-        let centers = Centers::from_rows(2, &[vec![0.5, 0.5], vec![2.0, 2.0]]).unwrap();
-        let a = kmeans_cost(&points, &centers).unwrap();
-        let b = kmeans_cost_block(&block, &centers).unwrap();
-        assert!((a - b).abs() < 1e-12);
-        let asg_a = assign(&points, &centers).unwrap();
-        let asg_b = assign_block(&block, &centers).unwrap();
-        assert_eq!(asg_a, asg_b);
-    }
-
-    #[test]
     fn empty_block_has_zero_cost() {
         let block = PointBlock::new(2);
         let centers = Centers::from_rows(2, &[vec![0.0, 0.0]]).unwrap();
         assert_eq!(kmeans_cost_block(&block, &centers).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn per_cluster_cost_sums_to_total() {
-        let points = square_points();
-        let centers = Centers::from_rows(2, &[vec![0.5, 0.5], vec![2.0, 2.0]]).unwrap();
-        let per = per_cluster_cost(&points, &centers).unwrap();
-        let total = kmeans_cost(&points, &centers).unwrap();
-        let sum: f64 = per.iter().sum();
-        assert!((sum - total).abs() < 1e-9);
     }
 }

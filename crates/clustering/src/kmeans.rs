@@ -6,13 +6,11 @@
 //! k-means++ is followed by up to 20 iterations of Lloyd's algorithm".
 //! It also serves as the batch baseline line in Figure 4.
 
-use crate::block::{BlockView, PointBlock};
+use crate::block::PointBlock;
 use crate::centers::Centers;
-use crate::distance::squared_norms;
 use crate::error::{ClusteringError, Result};
 use crate::kmeanspp::kmeanspp_view;
 use crate::lloyd::{lloyd_view, LloydConfig};
-use crate::point::PointSet;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -63,33 +61,46 @@ impl KMeans {
         self
     }
 
-    /// Runs the procedure on a weighted point set.
-    ///
-    /// This is a thin adapter over the fused kernel path: the point-norm
-    /// cache is computed once and shared by every seeding run, every Lloyd
-    /// iteration and every cost evaluation.
+    /// Runs the procedure on a weighted point block. The block's cached
+    /// norms are shared by every seeding run, every Lloyd iteration and
+    /// every cost evaluation.
     ///
     /// # Errors
     /// * [`ClusteringError::InvalidK`] if `k == 0`.
-    /// * [`ClusteringError::EmptyInput`] if `points` is empty.
+    /// * [`ClusteringError::EmptyInput`] if `block` is empty.
     /// * [`ClusteringError::InvalidParameter`] if `runs == 0`.
-    pub fn fit<R: Rng + ?Sized>(&self, points: &PointSet, rng: &mut R) -> Result<KMeansResult> {
-        self.validate(points.is_empty())?;
-        let norms = squared_norms(points.coords(), points.dim());
-        self.fit_view(BlockView::over(points, &norms), rng)
-    }
-
-    /// [`KMeans::fit`] over a [`PointBlock`], reusing its cached norms.
-    ///
-    /// # Errors
-    /// Same failure modes as [`KMeans::fit`].
     pub fn fit_block<R: Rng + ?Sized>(
         &self,
         block: &PointBlock,
         rng: &mut R,
     ) -> Result<KMeansResult> {
         self.validate(block.is_empty())?;
-        self.fit_view(block.view(), rng)
+        let lloyd_config = LloydConfig {
+            max_iterations: self.max_lloyd_iterations,
+            tolerance: self.tolerance,
+        };
+
+        let mut best: Option<KMeansResult> = None;
+        for _ in 0..self.runs {
+            let (seeded, _) = kmeanspp_view::<_, ()>(block, self.k, rng)?;
+            let (centers, cost, iterations) = if self.max_lloyd_iterations == 0 {
+                let cost = crate::cost::kmeans_cost_view(block, &seeded);
+                (seeded, cost, 0)
+            } else {
+                let out = lloyd_view(block, &seeded, lloyd_config);
+                (out.centers, out.cost, out.iterations)
+            };
+            let candidate = KMeansResult {
+                centers,
+                cost,
+                lloyd_iterations: iterations,
+            };
+            match &best {
+                Some(b) if b.cost <= candidate.cost => {}
+                _ => best = Some(candidate),
+            }
+        }
+        Ok(best.expect("runs >= 1"))
     }
 
     fn validate(&self, empty_input: bool) -> Result<()> {
@@ -107,39 +118,9 @@ impl KMeans {
         }
         Ok(())
     }
-
-    /// Fused-kernel core shared by [`KMeans::fit`] and [`KMeans::fit_block`].
-    fn fit_view<R: Rng + ?Sized>(&self, view: BlockView<'_>, rng: &mut R) -> Result<KMeansResult> {
-        let lloyd_config = LloydConfig {
-            max_iterations: self.max_lloyd_iterations,
-            tolerance: self.tolerance,
-        };
-
-        let mut best: Option<KMeansResult> = None;
-        for _ in 0..self.runs {
-            let (seeded, _) = kmeanspp_view::<_, ()>(view, self.k, rng)?;
-            let (centers, cost, iterations) = if self.max_lloyd_iterations == 0 {
-                let cost = crate::cost::kmeans_cost_view(view, &seeded);
-                (seeded, cost, 0)
-            } else {
-                let out = lloyd_view(view, &seeded, lloyd_config);
-                (out.centers, out.cost, out.iterations)
-            };
-            let candidate = KMeansResult {
-                centers,
-                cost,
-                lloyd_iterations: iterations,
-            };
-            match &best {
-                Some(b) if b.cost <= candidate.cost => {}
-                _ => best = Some(candidate),
-            }
-        }
-        Ok(best.expect("runs >= 1"))
-    }
 }
 
-/// Result of [`KMeans::fit`].
+/// Result of [`KMeans::fit_block`].
 #[derive(Debug, Clone)]
 pub struct KMeansResult {
     /// The best centers found.
@@ -153,12 +134,12 @@ pub struct KMeansResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::kmeans_cost;
+    use crate::cost::kmeans_cost_block;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn four_blobs() -> PointSet {
-        let mut s = PointSet::new(2);
+    fn four_blobs() -> PointBlock {
+        let mut s = PointBlock::new(2);
         let anchors = [(0.0, 0.0), (20.0, 0.0), (0.0, 20.0), (20.0, 20.0)];
         for (ax, ay) in anchors {
             for i in 0..16 {
@@ -174,7 +155,10 @@ mod tests {
     fn finds_four_blobs() {
         let points = four_blobs();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let result = KMeans::new(4).with_runs(3).fit(&points, &mut rng).unwrap();
+        let result = KMeans::new(4)
+            .with_runs(3)
+            .fit_block(&points, &mut rng)
+            .unwrap();
         assert_eq!(result.centers.len(), 4);
         // Within-blob spread is 0.6 x 0.6, so a correct clustering has a
         // tiny cost compared to merging any two blobs (distance 20 apart).
@@ -186,11 +170,11 @@ mod tests {
         let points = four_blobs();
         let single = KMeans::new(4)
             .with_runs(1)
-            .fit(&points, &mut ChaCha8Rng::seed_from_u64(3))
+            .fit_block(&points, &mut ChaCha8Rng::seed_from_u64(3))
             .unwrap();
         let multi = KMeans::new(4)
             .with_runs(8)
-            .fit(&points, &mut ChaCha8Rng::seed_from_u64(3))
+            .fit_block(&points, &mut ChaCha8Rng::seed_from_u64(3))
             .unwrap();
         // The first run of the multi-run fit uses the same RNG stream as the
         // single run, so best-of-8 can only be at least as good.
@@ -201,8 +185,8 @@ mod tests {
     fn reported_cost_is_consistent() {
         let points = four_blobs();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let result = KMeans::new(3).fit(&points, &mut rng).unwrap();
-        let recomputed = kmeans_cost(&points, &result.centers).unwrap();
+        let result = KMeans::new(3).fit_block(&points, &mut rng).unwrap();
+        let recomputed = kmeans_cost_block(&points, &result.centers).unwrap();
         assert!((recomputed - result.cost).abs() <= 1e-9 * (1.0 + recomputed));
     }
 
@@ -212,7 +196,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let result = KMeans::new(4)
             .with_max_lloyd_iterations(0)
-            .fit(&points, &mut rng)
+            .fit_block(&points, &mut rng)
             .unwrap();
         assert_eq!(result.lloyd_iterations, 0);
         assert!(result.cost.is_finite());
@@ -222,35 +206,22 @@ mod tests {
     fn invalid_configs_are_errors() {
         let points = four_blobs();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        assert!(KMeans::new(0).fit(&points, &mut rng).is_err());
-        assert!(KMeans::new(2).with_runs(0).fit(&points, &mut rng).is_err());
-        let empty = PointSet::new(2);
-        assert!(KMeans::new(2).fit(&empty, &mut rng).is_err());
-    }
-
-    #[test]
-    fn fit_block_matches_fit_exactly() {
-        let points = four_blobs();
-        let block = PointBlock::from_point_set(&points);
-        let a = KMeans::new(4)
-            .with_runs(2)
-            .fit(&points, &mut ChaCha8Rng::seed_from_u64(5))
-            .unwrap();
-        let b = KMeans::new(4)
-            .with_runs(2)
-            .fit_block(&block, &mut ChaCha8Rng::seed_from_u64(5))
-            .unwrap();
-        assert_eq!(a.centers.to_rows(), b.centers.to_rows());
-        assert!((a.cost - b.cost).abs() < 1e-12);
+        assert!(KMeans::new(0).fit_block(&points, &mut rng).is_err());
+        assert!(KMeans::new(2)
+            .with_runs(0)
+            .fit_block(&points, &mut rng)
+            .is_err());
+        let empty = PointBlock::new(2);
+        assert!(KMeans::new(2).fit_block(&empty, &mut rng).is_err());
     }
 
     #[test]
     fn works_with_fewer_points_than_k() {
-        let mut points = PointSet::new(2);
+        let mut points = PointBlock::new(2);
         points.push(&[0.0, 0.0], 1.0);
         points.push(&[5.0, 5.0], 1.0);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let result = KMeans::new(10).fit(&points, &mut rng).unwrap();
+        let result = KMeans::new(10).fit_block(&points, &mut rng).unwrap();
         assert!(result.centers.len() <= 10);
         assert!(result.cost <= 1e-9);
     }

@@ -11,16 +11,15 @@
 //! the D² distribution weighted: the probability of selecting point `x` as
 //! the next center is proportional to `w(x) · D²(x, Ψ_so_far)`.
 
-use crate::block::{BlockView, PointBlock};
+use crate::block::PointBlock;
 use crate::centers::Centers;
 use crate::cost::Assignment;
 use crate::distance::{dot, nearest_score, sq_dist_from_dot, Nearest, Track};
 use crate::error::{ClusteringError, Result};
-use crate::point::PointSet;
 use crate::sampling::{uniform_index, weighted_index};
 use rand::Rng;
 
-/// Runs weighted k-means++ seeding, returning `min(k, points.len())`
+/// Runs weighted k-means++ seeding, returning `min(k, block.len())`
 /// centers.
 ///
 /// The seeding follows the classic algorithm:
@@ -35,33 +34,19 @@ use rand::Rng;
 /// widely-used implementations.
 ///
 /// Each returned center carries the weight of the input point it was copied
-/// from (callers that need assignment mass should run [`crate::cost::assign`],
-/// or seed with [`kmeanspp_assign_block`]).
-///
-/// This is a thin adapter over the fused kernel path: it computes a
-/// squared-norm cache once and delegates to the same core as
-/// [`kmeanspp_block`].
+/// from (callers that need assignment mass should run
+/// [`crate::cost::assign_block`], or seed with [`kmeanspp_assign_block`]).
+/// Every distance reuses the block's cached squared norms.
 ///
 /// # Errors
-/// * [`ClusteringError::EmptyInput`] if `points` is empty.
+/// * [`ClusteringError::EmptyInput`] if `block` is empty.
 /// * [`ClusteringError::InvalidK`] if `k == 0`.
-pub fn kmeanspp<R: Rng + ?Sized>(points: &PointSet, k: usize, rng: &mut R) -> Result<Centers> {
-    let norms = crate::distance::squared_norms(points.coords(), points.dim());
-    let (centers, _) = kmeanspp_view::<_, ()>(BlockView::over(points, &norms), k, rng)?;
-    Ok(centers)
-}
-
-/// [`kmeanspp`] over a [`PointBlock`], reusing its cached squared norms so
-/// no per-call norm pass is needed.
-///
-/// # Errors
-/// Same failure modes as [`kmeanspp`].
 pub fn kmeanspp_block<R: Rng + ?Sized>(
     block: &PointBlock,
     k: usize,
     rng: &mut R,
 ) -> Result<Centers> {
-    let (centers, _) = kmeanspp_view::<_, ()>(block.view(), k, rng)?;
+    let (centers, _) = kmeanspp_view::<_, ()>(block, k, rng)?;
     Ok(centers)
 }
 
@@ -76,18 +61,17 @@ pub fn kmeanspp_block<R: Rng + ?Sized>(
 /// in point order, as `assign_block` sums them.
 ///
 /// # Errors
-/// Same failure modes as [`kmeanspp`].
+/// Same failure modes as [`kmeanspp_block`].
 pub fn kmeanspp_assign_block<R: Rng + ?Sized>(
     block: &PointBlock,
     k: usize,
     rng: &mut R,
 ) -> Result<(Centers, Assignment)> {
-    let view = block.view();
-    let (centers, nearest) = kmeanspp_view::<_, Nearest>(view, k, rng)?;
+    let (centers, nearest) = kmeanspp_view::<_, Nearest>(block, k, rng)?;
     let mut labels = Vec::with_capacity(nearest.len());
     let mut cluster_weights = vec![0.0; centers.len()];
     let mut cost = 0.0;
-    for ((_, w, x_norm), near) in view.iter().zip(&nearest) {
+    for ((_, w, x_norm), near) in block.iter().zip(&nearest) {
         // Always `Some`: `Nearest` only ever holds an offered center index.
         if let Some(mass) = cluster_weights.get_mut(near.label) {
             *mass += w;
@@ -107,27 +91,27 @@ pub fn kmeanspp_assign_block<R: Rng + ?Sized>(
 /// tracker after every center was offered to it.
 ///
 /// Every D² evaluation uses `‖x‖² − 2·x·c + ‖c‖²` with the point norm read
-/// from the view's cache and the center norm read from the cache of the
+/// from the block's cache and the center norm read from the cache of the
 /// point it was copied from, so each round costs one dot product per point,
 /// which the tracker reuses.
 ///
 /// # Errors
 /// [`ClusteringError::InvalidK`] if `k == 0`, then
-/// [`ClusteringError::EmptyInput`] if the view is empty.
+/// [`ClusteringError::EmptyInput`] if the block is empty.
 pub(crate) fn kmeanspp_view<R: Rng + ?Sized, T: Track>(
-    view: BlockView<'_>,
+    block: &PointBlock,
     k: usize,
     rng: &mut R,
 ) -> Result<(Centers, Vec<T>)> {
     if k == 0 {
         return Err(ClusteringError::InvalidK { k });
     }
-    if view.is_empty() {
+    if block.is_empty() {
         return Err(ClusteringError::EmptyInput);
     }
-    let n = view.len();
+    let n = block.len();
     let k_eff = k.min(n);
-    let mut centers = Centers::with_capacity(view.dim(), k_eff);
+    let mut centers = Centers::with_capacity(block.dim(), k_eff);
     // dist2[i] = w(i) * D²(point i, chosen centers); updated incrementally as
     // centers are added so seeding stays O(k d n).
     let mut dist2 = Vec::with_capacity(n);
@@ -135,17 +119,20 @@ pub(crate) fn kmeanspp_view<R: Rng + ?Sized, T: Track>(
 
     // First center: sample proportionally to weight (uniform if all weights
     // are zero).
-    let mut chosen = weighted_index(view.weights(), rng).or_else(|| uniform_index(n, rng));
+    let mut chosen = weighted_index(block.weights(), rng).or_else(|| uniform_index(n, rng));
     while let Some(i) = chosen {
         let j = centers.len();
-        let c_norm = view.norm(i);
-        centers.push(view.point(i), view.weight(i));
+        let c_norm = block.norm(i);
+        centers.push(block.point(i), block.weight(i));
         let center = centers.center(j);
-        let round = view.iter().zip(&mut tracks).map(|((p, w, x_norm), track)| {
-            let x_dot_c = dot(p, center);
-            track.offer(j, nearest_score(c_norm, x_dot_c));
-            w * sq_dist_from_dot(x_norm, x_dot_c, c_norm)
-        });
+        let round = block
+            .iter()
+            .zip(&mut tracks)
+            .map(|((p, w, x_norm), track)| {
+                let x_dot_c = dot(p, center);
+                track.offer(j, nearest_score(c_norm, x_dot_c));
+                w * sq_dist_from_dot(x_norm, x_dot_c, c_norm)
+            });
         // The first center sets dist2; later ones can only lower it.
         if j == 0 {
             dist2.extend(round);
@@ -173,17 +160,18 @@ pub(crate) fn kmeanspp_view<R: Rng + ?Sized, T: Track>(
 /// of five independent runs (Section 5.2).
 ///
 /// # Errors
-/// Same failure modes as [`kmeanspp`]; additionally `runs` must be ≥ 1.
+/// Same failure modes as [`kmeanspp_block`]; additionally `runs` must be
+/// ≥ 1.
 pub fn kmeanspp_best_of<R: Rng + ?Sized>(
-    points: &PointSet,
+    block: &PointBlock,
     k: usize,
     runs: usize,
     rng: &mut R,
 ) -> Result<Centers> {
     let mut best: Option<(f64, Centers)> = None;
     for _ in 0..runs {
-        let centers = kmeanspp(points, k, rng)?;
-        let cost = crate::cost::kmeans_cost(points, &centers)?;
+        let centers = kmeanspp_block(block, k, rng)?;
+        let cost = crate::cost::kmeans_cost_block(block, &centers)?;
         match &best {
             Some((best_cost, _)) if *best_cost <= cost => {}
             _ => best = Some((cost, centers)),
@@ -199,13 +187,13 @@ pub fn kmeanspp_best_of<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::kmeans_cost;
+    use crate::cost::kmeans_cost_block;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     /// Three well-separated clusters on a line.
-    fn three_clusters() -> PointSet {
-        let mut s = PointSet::new(1);
+    fn three_clusters() -> PointBlock {
+        let mut s = PointBlock::new(1);
         for i in 0..20 {
             s.push(&[f64::from(i) * 0.01], 1.0);
             s.push(&[100.0 + f64::from(i) * 0.01], 1.0);
@@ -218,18 +206,18 @@ mod tests {
     fn returns_k_centers() {
         let points = three_clusters();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let centers = kmeanspp(&points, 3, &mut rng).unwrap();
+        let centers = kmeanspp_block(&points, 3, &mut rng).unwrap();
         assert_eq!(centers.len(), 3);
         assert_eq!(centers.dim(), 1);
     }
 
     #[test]
     fn caps_k_at_number_of_points() {
-        let mut points = PointSet::new(2);
+        let mut points = PointBlock::new(2);
         points.push(&[0.0, 0.0], 1.0);
         points.push(&[1.0, 1.0], 1.0);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let centers = kmeanspp(&points, 10, &mut rng).unwrap();
+        let centers = kmeanspp_block(&points, 10, &mut rng).unwrap();
         assert_eq!(centers.len(), 2);
     }
 
@@ -238,12 +226,12 @@ mod tests {
         let points = three_clusters();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert_eq!(
-            kmeanspp(&points, 0, &mut rng).unwrap_err(),
+            kmeanspp_block(&points, 0, &mut rng).unwrap_err(),
             ClusteringError::InvalidK { k: 0 }
         );
-        let empty = PointSet::new(1);
+        let empty = PointBlock::new(1);
         assert_eq!(
-            kmeanspp(&empty, 3, &mut rng).unwrap_err(),
+            kmeanspp_block(&empty, 3, &mut rng).unwrap_err(),
             ClusteringError::EmptyInput
         );
     }
@@ -255,23 +243,23 @@ mod tests {
         // relative to a single-center solution.
         let points = three_clusters();
         let mut rng = ChaCha8Rng::seed_from_u64(123);
-        let centers = kmeanspp(&points, 3, &mut rng).unwrap();
-        let cost3 = kmeans_cost(&points, &centers).unwrap();
-        let single = kmeanspp(&points, 1, &mut rng).unwrap();
-        let cost1 = kmeans_cost(&points, &single).unwrap();
+        let centers = kmeanspp_block(&points, 3, &mut rng).unwrap();
+        let cost3 = kmeans_cost_block(&points, &centers).unwrap();
+        let single = kmeanspp_block(&points, 1, &mut rng).unwrap();
+        let cost1 = kmeans_cost_block(&points, &single).unwrap();
         assert!(cost3 * 100.0 < cost1, "cost3 = {cost3}, cost1 = {cost1}");
     }
 
     #[test]
     fn handles_duplicate_points() {
-        let mut points = PointSet::new(2);
+        let mut points = PointBlock::new(2);
         for _ in 0..10 {
             points.push(&[1.0, 1.0], 1.0);
         }
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let centers = kmeanspp(&points, 4, &mut rng).unwrap();
+        let centers = kmeanspp_block(&points, 4, &mut rng).unwrap();
         assert_eq!(centers.len(), 4);
-        let cost = kmeans_cost(&points, &centers).unwrap();
+        let cost = kmeans_cost_block(&points, &centers).unwrap();
         assert_eq!(cost, 0.0);
     }
 
@@ -279,13 +267,13 @@ mod tests {
     fn respects_weights() {
         // One heavy point far away: with k=2 the heavy point should get its
         // own center essentially always.
-        let mut points = PointSet::new(1);
+        let mut points = PointBlock::new(1);
         for i in 0..50 {
             points.push(&[f64::from(i) * 0.001], 1.0);
         }
         points.push(&[1000.0], 1000.0);
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let centers = kmeanspp(&points, 2, &mut rng).unwrap();
+        let centers = kmeanspp_block(&points, 2, &mut rng).unwrap();
         let has_far_center = centers.iter().any(|c| (c[0] - 1000.0).abs() < 1.0);
         assert!(has_far_center);
     }
@@ -295,7 +283,7 @@ mod tests {
         let points = three_clusters();
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         let best = kmeanspp_best_of(&points, 3, 5, &mut rng).unwrap();
-        let best_cost = kmeans_cost(&points, &best).unwrap();
+        let best_cost = kmeans_cost_block(&points, &best).unwrap();
         // The best of 5 runs should at least find the separated clusters.
         assert!(best_cost < 1.0, "best cost {best_cost}");
     }
@@ -310,28 +298,16 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let points = three_clusters();
-        let a = kmeanspp(&points, 3, &mut ChaCha8Rng::seed_from_u64(9)).unwrap();
-        let b = kmeanspp(&points, 3, &mut ChaCha8Rng::seed_from_u64(9)).unwrap();
-        assert_eq!(a.to_rows(), b.to_rows());
-    }
-
-    #[test]
-    fn block_path_matches_point_set_path_exactly() {
-        // Both adapters feed the same fused core with identical norms, so
-        // given the same seed they must draw identical centers.
-        let points = three_clusters();
-        let block = crate::block::PointBlock::from_point_set(&points);
-        let a = kmeanspp(&points, 4, &mut ChaCha8Rng::seed_from_u64(21)).unwrap();
-        let b = kmeanspp_block(&block, 4, &mut ChaCha8Rng::seed_from_u64(21)).unwrap();
+        let a = kmeanspp_block(&points, 3, &mut ChaCha8Rng::seed_from_u64(9)).unwrap();
+        let b = kmeanspp_block(&points, 3, &mut ChaCha8Rng::seed_from_u64(9)).unwrap();
         assert_eq!(a.to_rows(), b.to_rows());
     }
 
     #[test]
     fn block_path_rejects_invalid_inputs() {
-        let block = crate::block::PointBlock::new(2);
+        let block = PointBlock::new(2);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(kmeanspp_block(&block, 3, &mut rng).is_err());
-        let filled = crate::block::PointBlock::from_point_set(&three_clusters());
-        assert!(kmeanspp_block(&filled, 0, &mut rng).is_err());
+        assert!(kmeanspp_block(&three_clusters(), 0, &mut rng).is_err());
     }
 }

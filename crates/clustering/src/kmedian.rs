@@ -10,10 +10,10 @@
 //! of Lloyd's algorithm). The streaming side lives in
 //! `skm_stream::kmedian_stream`.
 
+use crate::block::PointBlock;
 use crate::centers::Centers;
 use crate::distance::{distance, nearest_center, squared_distance};
 use crate::error::{ClusteringError, Result};
-use crate::point::PointSet;
 use crate::sampling::{uniform_index, weighted_index};
 use rand::Rng;
 
@@ -23,7 +23,7 @@ use rand::Rng;
 /// # Errors
 /// Returns an error when `centers` is empty (and `points` is not) or the
 /// dimensions disagree.
-pub fn kmedian_cost(points: &PointSet, centers: &Centers) -> Result<f64> {
+pub fn kmedian_cost(points: &PointBlock, centers: &Centers) -> Result<f64> {
     if points.is_empty() {
         return Ok(0.0);
     }
@@ -37,7 +37,7 @@ pub fn kmedian_cost(points: &PointSet, centers: &Centers) -> Result<f64> {
         });
     }
     let mut cost = 0.0;
-    for (p, w) in points.iter() {
+    for (p, w, _) in points.iter() {
         let (_, d2) = nearest_center(p, centers).expect("non-empty centers");
         cost += w * d2.sqrt();
     }
@@ -48,8 +48,8 @@ pub fn kmedian_cost(points: &PointSet, centers: &Centers) -> Result<f64> {
 /// chosen with probability proportional to `w(x) · D(x, Ψ)` (first power).
 ///
 /// # Errors
-/// Same failure modes as [`crate::kmeanspp::kmeanspp`].
-pub fn kmedianpp<R: Rng + ?Sized>(points: &PointSet, k: usize, rng: &mut R) -> Result<Centers> {
+/// Same failure modes as [`crate::kmeanspp::kmeanspp_block`].
+pub fn kmedianpp<R: Rng + ?Sized>(points: &PointBlock, k: usize, rng: &mut R) -> Result<Centers> {
     if k == 0 {
         return Err(ClusteringError::InvalidK { k });
     }
@@ -68,7 +68,7 @@ pub fn kmedianpp<R: Rng + ?Sized>(points: &PointSet, k: usize, rng: &mut R) -> R
 
     let mut dist: Vec<f64> = points
         .iter()
-        .map(|(p, w)| w * distance(p, centers.center(0)))
+        .map(|(p, w, _)| w * distance(p, centers.center(0)))
         .collect();
 
     while centers.len() < k_eff {
@@ -78,7 +78,7 @@ pub fn kmedianpp<R: Rng + ?Sized>(points: &PointSet, k: usize, rng: &mut R) -> R
         };
         centers.push(points.point(chosen), points.weight(chosen));
         let new_idx = centers.len() - 1;
-        for (i, (p, w)) in points.iter().enumerate() {
+        for (i, (p, w, _)) in points.iter().enumerate() {
             let d = w * distance(p, centers.center(new_idx));
             if d < dist[i] {
                 dist[i] = d;
@@ -99,7 +99,7 @@ pub fn kmedianpp<R: Rng + ?Sized>(points: &PointSet, k: usize, rng: &mut R) -> R
 /// # Errors
 /// Returns an error for empty inputs or dimension mismatches.
 pub fn kmedian_refine(
-    points: &PointSet,
+    points: &PointBlock,
     initial: &Centers,
     rounds: usize,
     weiszfeld_iterations: usize,
@@ -122,7 +122,7 @@ pub fn kmedian_refine(
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
         let mut worst_point = 0usize;
         let mut worst_contrib = -1.0f64;
-        for (i, (p, w)) in points.iter().enumerate() {
+        for (i, (p, w, _)) in points.iter().enumerate() {
             let (idx, d2) = nearest_center(p, &centers).expect("non-empty centers");
             members[idx].push(i);
             let contrib = w * d2.sqrt();
@@ -153,7 +153,7 @@ pub fn kmedian_refine(
 /// Approximates the weighted geometric median of the selected points with
 /// Weiszfeld's iterative algorithm, starting from the weighted centroid.
 #[must_use]
-pub fn geometric_median(points: &PointSet, indices: &[usize], iterations: usize) -> Vec<f64> {
+pub fn geometric_median(points: &PointBlock, indices: &[usize], iterations: usize) -> Vec<f64> {
     let dim = points.dim();
     // Start from the weighted centroid.
     let mut estimate = vec![0.0; dim];
@@ -208,8 +208,8 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn line_points(values: &[f64]) -> PointSet {
-        let mut s = PointSet::new(1);
+    fn line_points(values: &[f64]) -> PointBlock {
+        let mut s = PointBlock::new(1);
         for &v in values {
             s.push(&[v], 1.0);
         }
@@ -230,7 +230,7 @@ mod tests {
         assert!(kmedian_cost(&points, &Centers::new(1)).is_err());
         let wrong_dim = Centers::from_rows(2, &[vec![0.0, 0.0]]).unwrap();
         assert!(kmedian_cost(&points, &wrong_dim).is_err());
-        assert_eq!(kmedian_cost(&PointSet::new(1), &wrong_dim).unwrap(), 0.0);
+        assert_eq!(kmedian_cost(&PointBlock::new(1), &wrong_dim).unwrap(), 0.0);
     }
 
     #[test]
@@ -244,13 +244,13 @@ mod tests {
             "geometric median {} dragged by outlier",
             median[0]
         );
-        let mean = points.centroid().unwrap()[0];
+        let mean = points.coords().iter().sum::<f64>() / 4.0;
         assert!(mean > 20.0);
     }
 
     #[test]
     fn kmedianpp_seeds_separated_clusters() {
-        let mut points = PointSet::new(1);
+        let mut points = PointBlock::new(1);
         for i in 0..30 {
             points.push(&[f64::from(i) * 0.01], 1.0);
             points.push(&[500.0 + f64::from(i) * 0.01], 1.0);
@@ -269,13 +269,13 @@ mod tests {
         let points = line_points(&[1.0, 2.0]);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(kmedianpp(&points, 0, &mut rng).is_err());
-        assert!(kmedianpp(&PointSet::new(1), 2, &mut rng).is_err());
+        assert!(kmedianpp(&PointBlock::new(1), 2, &mut rng).is_err());
     }
 
     #[test]
     fn refinement_reduces_cost() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut points = PointSet::new(2);
+        let mut points = PointBlock::new(2);
         use rand::Rng;
         for i in 0..200 {
             let (ax, ay) = if i % 2 == 0 { (0.0, 0.0) } else { (30.0, 30.0) };

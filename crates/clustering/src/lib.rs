@@ -6,10 +6,10 @@
 //! This crate contains everything the streaming algorithms need from the
 //! "batch world":
 //!
-//! * [`PointSet`] — a weighted, dense, flat-storage point set in `R^d`
-//!   (Problem 1 of the paper works on weighted points).
-//! * [`PointBlock`] / [`BlockView`] — the hot-path structure-of-arrays form
-//!   with cached squared norms that feeds the fused distance kernels.
+//! * [`PointBlock`] — the one weighted point container in `R^d` (Problem 1
+//!   of the paper works on weighted points): flat structure-of-arrays
+//!   storage with cached squared norms that feeds the fused distance
+//!   kernels. Input buckets, coresets and query candidates all use it.
 //! * [`Centers`] — a set of `k` cluster centers.
 //! * [`distance`] — squared-Euclidean kernels (legacy and fused) and
 //!   nearest-center search.
@@ -30,16 +30,16 @@
 //! ```
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
-//! use skm_clustering::{PointSet, kmeans::KMeans};
+//! use skm_clustering::{PointBlock, kmeans::KMeans};
 //!
-//! let mut points = PointSet::new(2);
+//! let mut points = PointBlock::new(2);
 //! for i in 0..50 {
 //!     let x = f64::from(i % 5);
 //!     let y = f64::from(i / 5);
 //!     points.push(&[x, y], 1.0);
 //! }
 //! let mut rng = ChaCha8Rng::seed_from_u64(7);
-//! let result = KMeans::new(3).with_runs(2).fit(&points, &mut rng).unwrap();
+//! let result = KMeans::new(3).with_runs(2).fit_block(&points, &mut rng).unwrap();
 //! assert_eq!(result.centers.len(), 3);
 //! assert!(result.cost.is_finite());
 //! ```
@@ -56,23 +56,20 @@ pub mod kmeans;
 pub mod kmeanspp;
 pub mod kmedian;
 pub mod lloyd;
-pub mod point;
 pub mod sampling;
 
-pub use block::{BlockView, PointBlock};
+pub use block::PointBlock;
 pub use centers::Centers;
 pub use error::{ClusteringError, Result};
 pub use kmeans::{KMeans, KMeansResult};
-pub use point::PointSet;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::block::{BlockView, PointBlock};
+    pub use crate::block::PointBlock;
     pub use crate::centers::Centers;
-    pub use crate::cost::{assign, kmeans_cost};
+    pub use crate::cost::{assign_block, kmeans_cost_block};
     pub use crate::error::{ClusteringError, Result};
     pub use crate::kmeans::{KMeans, KMeansResult};
-    pub use crate::kmeanspp::kmeanspp;
-    pub use crate::lloyd::{lloyd, LloydOutcome};
-    pub use crate::point::PointSet;
+    pub use crate::kmeanspp::kmeanspp_block;
+    pub use crate::lloyd::{lloyd_block, LloydOutcome};
 }

@@ -6,12 +6,11 @@
 //! and moving every center to the weighted centroid of its assigned points;
 //! the cost is non-increasing across iterations.
 
-use crate::block::{BlockView, PointBlock};
+use crate::block::PointBlock;
 use crate::centers::Centers;
 use crate::cost::assign_view;
 use crate::distance::{nearest_block_row, squared_norms};
 use crate::error::{ClusteringError, Result};
-use crate::point::PointSet;
 
 /// Result of running Lloyd iterations.
 #[derive(Debug, Clone)]
@@ -27,7 +26,7 @@ pub struct LloydOutcome {
     pub converged: bool,
 }
 
-/// Configuration for [`lloyd`].
+/// Configuration for [`lloyd_block`].
 #[derive(Debug, Clone, Copy)]
 pub struct LloydConfig {
     /// Maximum number of iterations (the paper uses 20).
@@ -51,31 +50,13 @@ impl Default for LloydConfig {
 /// the most to the cost, a standard remedy that keeps exactly `k` centers
 /// alive.
 ///
-/// This is a thin adapter over the fused kernel path: the point-norm cache
-/// is computed once and reused by **every** iteration (and the final cost
-/// evaluation), which is where the cached-norm representation pays off most.
+/// The block's cached point norms are reused by **every** iteration (and
+/// the final cost evaluation), which is where the cached-norm
+/// representation pays off most.
 ///
 /// # Errors
-/// * [`ClusteringError::EmptyInput`] if `points` or `initial` is empty.
-/// * Dimension mismatch between `points` and `initial`.
-pub fn lloyd(points: &PointSet, initial: &Centers, config: LloydConfig) -> Result<LloydOutcome> {
-    if points.is_empty() || initial.is_empty() {
-        return Err(ClusteringError::EmptyInput);
-    }
-    if points.dim() != initial.dim() {
-        return Err(ClusteringError::DimensionMismatch {
-            expected: points.dim(),
-            got: initial.dim(),
-        });
-    }
-    let norms = squared_norms(points.coords(), points.dim());
-    Ok(lloyd_view(BlockView::over(points, &norms), initial, config))
-}
-
-/// [`lloyd`] over a [`PointBlock`], reusing its cached squared norms.
-///
-/// # Errors
-/// Same failure modes as [`lloyd`].
+/// * [`ClusteringError::EmptyInput`] if `block` or `initial` is empty.
+/// * Dimension mismatch between `block` and `initial`.
 pub fn lloyd_block(
     block: &PointBlock,
     initial: &Centers,
@@ -90,17 +71,17 @@ pub fn lloyd_block(
             got: initial.dim(),
         });
     }
-    Ok(lloyd_view(block.view(), initial, config))
+    Ok(lloyd_view(block, initial, config))
 }
 
 /// Fused-kernel core of Lloyd's algorithm. The caller has validated shapes
 /// and non-emptiness.
 pub(crate) fn lloyd_view(
-    view: BlockView<'_>,
+    block: &PointBlock,
     initial: &Centers,
     config: LloydConfig,
 ) -> LloydOutcome {
-    let dim = view.dim();
+    let dim = block.dim();
     let k = initial.len();
     let mut centers = initial.clone();
     let mut prev_cost = f64::INFINITY;
@@ -120,7 +101,7 @@ pub(crate) fn lloyd_view(
         // Track the single worst point for empty-cluster reseeding.
         let mut worst_point = 0usize;
         let mut worst_contrib = -1.0;
-        for (i, (p, w, n)) in view.iter().enumerate() {
+        for (i, (p, w, n)) in block.iter().enumerate() {
             let (idx, d2) = nearest_block_row(p, n, centers.coords(), &center_norms, dim)
                 .expect("non-empty centers");
             cost += w * d2;
@@ -157,16 +138,16 @@ pub(crate) fn lloyd_view(
                 }
                 *centers.weight_mut(j) = masses[j];
             } else {
-                let p = view.point(worst_point);
+                let p = block.point(worst_point);
                 centers.center_mut(j).copy_from_slice(p);
-                *centers.weight_mut(j) = view.weight(worst_point);
+                *centers.weight_mut(j) = block.weight(worst_point);
             }
         }
     }
 
     // Final cost of the returned centers (they may have moved after the last
     // cost evaluation above).
-    let final_assignment = assign_view(view, &centers);
+    let final_assignment = assign_view(block, &centers);
     let cost = final_assignment.cost.min(prev_cost);
     // Keep the cheaper of (last evaluated centers, updated centers): Lloyd
     // updates never increase cost in exact arithmetic, so this only guards
@@ -182,13 +163,13 @@ pub(crate) fn lloyd_view(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::kmeans_cost;
-    use crate::kmeanspp::kmeanspp;
+    use crate::cost::kmeans_cost_block;
+    use crate::kmeanspp::kmeanspp_block;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn two_blobs() -> PointSet {
-        let mut s = PointSet::new(2);
+    fn two_blobs() -> PointBlock {
+        let mut s = PointBlock::new(2);
         for i in 0..25 {
             let dx = f64::from(i % 5) * 0.1;
             let dy = f64::from(i / 5) * 0.1;
@@ -203,8 +184,8 @@ mod tests {
         let points = two_blobs();
         // Deliberately bad start: both centers inside the same blob.
         let init = Centers::from_rows(2, &[vec![0.0, 0.0], vec![0.4, 0.4]]).unwrap();
-        let init_cost = kmeans_cost(&points, &init).unwrap();
-        let out = lloyd(&points, &init, LloydConfig::default()).unwrap();
+        let init_cost = kmeans_cost_block(&points, &init).unwrap();
+        let out = lloyd_block(&points, &init, LloydConfig::default()).unwrap();
         assert!(out.cost <= init_cost);
         assert_eq!(out.centers.len(), 2);
     }
@@ -213,9 +194,9 @@ mod tests {
     fn cost_matches_reported_cost() {
         let points = two_blobs();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let init = kmeanspp(&points, 2, &mut rng).unwrap();
-        let out = lloyd(&points, &init, LloydConfig::default()).unwrap();
-        let recomputed = kmeans_cost(&points, &out.centers).unwrap();
+        let init = kmeanspp_block(&points, 2, &mut rng).unwrap();
+        let out = lloyd_block(&points, &init, LloydConfig::default()).unwrap();
+        let recomputed = kmeans_cost_block(&points, &out.centers).unwrap();
         assert!((recomputed - out.cost).abs() <= 1e-9 * (1.0 + recomputed));
     }
 
@@ -223,8 +204,8 @@ mod tests {
     fn converges_on_separated_blobs() {
         let points = two_blobs();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let init = kmeanspp(&points, 2, &mut rng).unwrap();
-        let out = lloyd(&points, &init, LloydConfig::default()).unwrap();
+        let init = kmeanspp_block(&points, 2, &mut rng).unwrap();
+        let out = lloyd_block(&points, &init, LloydConfig::default()).unwrap();
         // Optimal centers are the blob centroids at (0.2, 0.2)±, giving a
         // tiny within-blob cost. 25 points per blob, spread 0.4 x 0.4.
         assert!(out.cost < 10.0, "cost {}", out.cost);
@@ -235,7 +216,7 @@ mod tests {
     fn single_iteration_cap_respected() {
         let points = two_blobs();
         let init = Centers::from_rows(2, &[vec![0.0, 0.0], vec![1.0, 1.0]]).unwrap();
-        let out = lloyd(
+        let out = lloyd_block(
             &points,
             &init,
             LloydConfig {
@@ -250,12 +231,12 @@ mod tests {
     #[test]
     fn handles_weighted_points() {
         // Heavy point should pull its center strongly.
-        let mut points = PointSet::new(1);
+        let mut points = PointBlock::new(1);
         points.push(&[0.0], 1.0);
         points.push(&[1.0], 1.0);
         points.push(&[10.0], 100.0);
         let init = Centers::from_rows(1, &[vec![0.5], vec![9.0]]).unwrap();
-        let out = lloyd(&points, &init, LloydConfig::default()).unwrap();
+        let out = lloyd_block(&points, &init, LloydConfig::default()).unwrap();
         let rows = out.centers.to_rows();
         let has_heavy_center = rows.iter().any(|c| (c[0] - 10.0).abs() < 1e-9);
         assert!(has_heavy_center, "centers {rows:?}");
@@ -265,22 +246,10 @@ mod tests {
     fn empty_inputs_are_errors() {
         let points = two_blobs();
         let empty_centers = Centers::new(2);
-        assert!(lloyd(&points, &empty_centers, LloydConfig::default()).is_err());
-        let empty_points = PointSet::new(2);
+        assert!(lloyd_block(&points, &empty_centers, LloydConfig::default()).is_err());
+        let empty_points = PointBlock::new(2);
         let init = Centers::from_rows(2, &[vec![0.0, 0.0]]).unwrap();
-        assert!(lloyd(&empty_points, &init, LloydConfig::default()).is_err());
-    }
-
-    #[test]
-    fn block_path_matches_point_set_path() {
-        let points = two_blobs();
-        let block = crate::block::PointBlock::from_point_set(&points);
-        let init = Centers::from_rows(2, &[vec![0.0, 0.0], vec![9.0, 9.0]]).unwrap();
-        let a = lloyd(&points, &init, LloydConfig::default()).unwrap();
-        let b = lloyd_block(&block, &init, LloydConfig::default()).unwrap();
-        assert_eq!(a.centers.to_rows(), b.centers.to_rows());
-        assert_eq!(a.iterations, b.iterations);
-        assert!((a.cost - b.cost).abs() < 1e-12);
+        assert!(lloyd_block(&empty_points, &init, LloydConfig::default()).is_err());
     }
 
     #[test]
@@ -289,7 +258,7 @@ mod tests {
         // after one update it must land on some input point.
         let points = two_blobs();
         let init = Centers::from_rows(2, &[vec![5.0, 5.0], vec![1e9, 1e9]]).unwrap();
-        let out = lloyd(&points, &init, LloydConfig::default()).unwrap();
+        let out = lloyd_block(&points, &init, LloydConfig::default()).unwrap();
         assert_eq!(out.centers.len(), 2);
         // Both centers must be within the data bounding box after reseeding.
         for c in out.centers.iter() {

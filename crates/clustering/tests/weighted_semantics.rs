@@ -5,14 +5,14 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use skm_clustering::cost::{assign, kmeans_cost};
+use skm_clustering::cost::{assign_block, kmeans_cost_block};
 use skm_clustering::kmeans::KMeans;
-use skm_clustering::lloyd::{lloyd, LloydConfig};
-use skm_clustering::{Centers, PointSet};
+use skm_clustering::lloyd::{lloyd_block, LloydConfig};
+use skm_clustering::{Centers, PointBlock};
 
 /// Builds the same logical multiset twice: once with integer weights and
 /// once with explicit duplicates.
-fn weighted_and_duplicated() -> (PointSet, PointSet) {
+fn weighted_and_duplicated() -> (PointBlock, PointBlock) {
     let raw: Vec<(Vec<f64>, usize)> = vec![
         (vec![0.0, 0.0], 3),
         (vec![1.0, 0.5], 1),
@@ -20,8 +20,8 @@ fn weighted_and_duplicated() -> (PointSet, PointSet) {
         (vec![11.0, 9.5], 2),
         (vec![-5.0, 2.0], 1),
     ];
-    let mut weighted = PointSet::new(2);
-    let mut duplicated = PointSet::new(2);
+    let mut weighted = PointBlock::new(2);
+    let mut duplicated = PointBlock::new(2);
     for (p, copies) in &raw {
         weighted.push(p, *copies as f64);
         for _ in 0..*copies {
@@ -35,8 +35,8 @@ fn weighted_and_duplicated() -> (PointSet, PointSet) {
 fn cost_of_weighted_set_equals_cost_of_duplicated_set() {
     let (weighted, duplicated) = weighted_and_duplicated();
     let centers = Centers::from_rows(2, &[vec![0.0, 0.0], vec![10.0, 10.0]]).unwrap();
-    let cw = kmeans_cost(&weighted, &centers).unwrap();
-    let cd = kmeans_cost(&duplicated, &centers).unwrap();
+    let cw = kmeans_cost_block(&weighted, &centers).unwrap();
+    let cd = kmeans_cost_block(&duplicated, &centers).unwrap();
     assert!((cw - cd).abs() < 1e-9, "weighted {cw} vs duplicated {cd}");
 }
 
@@ -44,8 +44,8 @@ fn cost_of_weighted_set_equals_cost_of_duplicated_set() {
 fn assignment_masses_match_duplicated_counts() {
     let (weighted, duplicated) = weighted_and_duplicated();
     let centers = Centers::from_rows(2, &[vec![0.0, 0.0], vec![10.0, 10.0]]).unwrap();
-    let aw = assign(&weighted, &centers).unwrap();
-    let ad = assign(&duplicated, &centers).unwrap();
+    let aw = assign_block(&weighted, &centers).unwrap();
+    let ad = assign_block(&duplicated, &centers).unwrap();
     assert_eq!(aw.cluster_weights.len(), ad.cluster_weights.len());
     for (w, d) in aw.cluster_weights.iter().zip(&ad.cluster_weights) {
         assert!((w - d).abs() < 1e-9);
@@ -60,8 +60,8 @@ fn lloyd_produces_identical_centers_on_both_representations() {
         max_iterations: 10,
         tolerance: 0.0,
     };
-    let out_w = lloyd(&weighted, &init, config).unwrap();
-    let out_d = lloyd(&duplicated, &init, config).unwrap();
+    let out_w = lloyd_block(&weighted, &init, config).unwrap();
+    let out_d = lloyd_block(&duplicated, &init, config).unwrap();
     assert!((out_w.cost - out_d.cost).abs() < 1e-9);
     for (cw, cd) in out_w.centers.iter().zip(out_d.centers.iter()) {
         for (a, b) in cw.iter().zip(cd) {
@@ -74,7 +74,7 @@ fn lloyd_produces_identical_centers_on_both_representations() {
 fn lloyd_cost_never_increases_with_more_iterations() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     use rand::Rng;
-    let mut points = PointSet::new(3);
+    let mut points = PointBlock::new(3);
     for _ in 0..400 {
         points.push(
             &[
@@ -85,10 +85,10 @@ fn lloyd_cost_never_increases_with_more_iterations() {
             1.0 + rng.gen::<f64>(),
         );
     }
-    let init = skm_clustering::kmeanspp::kmeanspp(&points, 4, &mut rng).unwrap();
+    let init = skm_clustering::kmeanspp::kmeanspp_block(&points, 4, &mut rng).unwrap();
     let mut previous = f64::INFINITY;
     for iterations in [1usize, 2, 4, 8, 16] {
-        let out = lloyd(
+        let out = lloyd_block(
             &points,
             &init,
             LloydConfig {
@@ -110,24 +110,27 @@ fn lloyd_cost_never_increases_with_more_iterations() {
 fn batch_kmeans_handles_extreme_weights() {
     // One point carries 10^9 of the mass: the best single center must sit on
     // top of it.
-    let mut points = PointSet::new(1);
+    let mut points = PointBlock::new(1);
     points.push(&[0.0], 1.0);
     points.push(&[1.0], 1.0);
     points.push(&[100.0], 1e9);
     let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let result = KMeans::new(1).with_runs(3).fit(&points, &mut rng).unwrap();
+    let result = KMeans::new(1)
+        .with_runs(3)
+        .fit_block(&points, &mut rng)
+        .unwrap();
     assert!((result.centers.center(0)[0] - 100.0).abs() < 1e-3);
 }
 
 #[test]
 fn zero_weight_points_do_not_affect_the_result() {
-    let mut with_zero = PointSet::new(1);
+    let mut with_zero = PointBlock::new(1);
     with_zero.push(&[0.0], 1.0);
     with_zero.push(&[2.0], 1.0);
     with_zero.push(&[1_000.0], 0.0); // irrelevant
     let centers = Centers::from_rows(1, &[vec![1.0]]).unwrap();
-    let cost = kmeans_cost(&with_zero, &centers).unwrap();
+    let cost = kmeans_cost_block(&with_zero, &centers).unwrap();
     assert!((cost - 2.0).abs() < 1e-12);
-    let assignment = assign(&with_zero, &centers).unwrap();
+    let assignment = assign_block(&with_zero, &centers).unwrap();
     assert!((assignment.cluster_weights[0] - 2.0).abs() < 1e-12);
 }

@@ -9,17 +9,17 @@
 
 use crate::clusterer::{QueryStats, StreamingClusterer};
 use crate::config::StreamConfig;
-use crate::driver::extract_centers;
+use crate::driver::extract_centers_block;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use skm_clustering::error::{ClusteringError, Result};
-use skm_clustering::{Centers, PointSet};
+use skm_clustering::{Centers, PointBlock};
 
 /// The batch k-means++ (plus Lloyd refinement) reference "clusterer".
 #[derive(Debug, Clone)]
 pub struct BatchKMeansPP {
     config: StreamConfig,
-    points: Option<PointSet>,
+    points: Option<PointBlock>,
     rng: ChaCha20Rng,
     last_stats: Option<QueryStats>,
 }
@@ -41,7 +41,7 @@ impl BatchKMeansPP {
 
     /// Read access to the stored points (for tests).
     #[must_use]
-    pub fn stored(&self) -> Option<&PointSet> {
+    pub fn stored(&self) -> Option<&PointBlock> {
         self.points.as_ref()
     }
 }
@@ -68,7 +68,7 @@ impl StreamingClusterer for BatchKMeansPP {
                 }
                 p
             }
-            None => self.points.insert(PointSet::new(point.len())),
+            None => self.points.insert(PointBlock::new(point.len())),
         };
         points.push(point, 1.0);
         Ok(())
@@ -76,7 +76,7 @@ impl StreamingClusterer for BatchKMeansPP {
 
     fn query(&mut self) -> Result<Centers> {
         let points = self.points.as_ref().ok_or(ClusteringError::EmptyInput)?;
-        let centers = extract_centers(points, &self.config, &mut self.rng)?;
+        let centers = extract_centers_block(points, &self.config, &mut self.rng)?;
         self.last_stats = Some(QueryStats {
             coresets_merged: 0,
             candidate_points: points.len(),
@@ -88,7 +88,7 @@ impl StreamingClusterer for BatchKMeansPP {
     }
 
     fn memory_points(&self) -> usize {
-        self.points.as_ref().map_or(0, PointSet::len)
+        self.points.as_ref().map_or(0, PointBlock::len)
     }
 
     fn points_seen(&self) -> u64 {
@@ -105,7 +105,7 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-    use skm_clustering::cost::kmeans_cost;
+    use skm_clustering::cost::kmeans_cost_block;
 
     #[test]
     fn stores_every_point() {
@@ -133,7 +133,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut all = PointSet::new(1);
+        let mut all = PointBlock::new(1);
         for i in 0..500 {
             let base = if i % 2 == 0 { 0.0 } else { 100.0 };
             let p = [base + rng.gen::<f64>()];
@@ -141,7 +141,7 @@ mod tests {
             all.push(&p, 1.0);
         }
         let centers = b.query().unwrap();
-        let cost = kmeans_cost(&all, &centers).unwrap();
+        let cost = kmeans_cost_block(&all, &centers).unwrap();
         // Optimal cost is ~ 500 * Var(U(0,1)) ≈ 500/12 ≈ 42.
         assert!(cost < 60.0, "cost {cost}");
         assert!(b.last_query_stats().unwrap().ran_kmeans);

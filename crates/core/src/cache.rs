@@ -112,11 +112,11 @@ impl Deserialize for CoresetCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skm_clustering::PointSet;
+    use skm_clustering::PointBlock;
     use skm_coreset::Span;
 
     fn coreset(span: Span, n_points: usize) -> Coreset {
-        let mut s = PointSet::new(1);
+        let mut s = PointBlock::new(1);
         for i in 0..n_points {
             s.push(&[i as f64], 1.0);
         }

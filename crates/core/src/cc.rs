@@ -157,7 +157,7 @@ impl CachedCoresetTree {
 
     /// The candidate points a query hands to k-means++ (as a norm-cached
     /// block): the CC coreset for `[1, N]` unioned with the partially
-    /// filled base bucket, whose update-time norm cache is reused verbatim.
+    /// filled base bucket; both bring their cached norms along.
     ///
     /// # Errors
     /// Returns [`ClusteringError::EmptyInput`] when no points have arrived.
@@ -167,7 +167,7 @@ impl CachedCoresetTree {
         }
         match self.query_coreset()? {
             Some((coreset, mut stats)) => {
-                let mut candidates = PointBlock::from_point_set_owned(coreset.into_points());
+                let mut candidates = coreset.into_points();
                 if let Some(p) = self.buffer.partial() {
                     if !p.is_empty() {
                         // Borrowed append — no bucket-sized clone per query,
@@ -244,8 +244,7 @@ impl StreamingClusterer for CachedCoresetTree {
 
     fn update(&mut self, point: &[f64]) -> Result<()> {
         if let Some(full_bucket) = self.buffer.push(point)? {
-            self.tree
-                .insert_bucket(full_bucket.into_point_set(), &mut self.rng)?;
+            self.tree.insert_bucket(full_bucket, &mut self.rng)?;
         }
         Ok(())
     }
@@ -253,9 +252,8 @@ impl StreamingClusterer for CachedCoresetTree {
     fn update_batch(&mut self, points: &[&[f64]]) -> Result<()> {
         let tree = &mut self.tree;
         let rng = &mut self.rng;
-        self.buffer.push_batch(points, |full_bucket| {
-            tree.insert_bucket(full_bucket.into_point_set(), rng)
-        })
+        self.buffer
+            .push_batch(points, |full_bucket| tree.insert_bucket(full_bucket, rng))
     }
 
     fn query(&mut self) -> Result<Centers> {

@@ -18,13 +18,13 @@
 
 use crate::clusterer::{QueryStats, StreamingClusterer};
 use crate::config::StreamConfig;
-use crate::driver::extract_centers;
+use crate::driver::extract_centers_block;
 use crate::publish::ClusteringResult;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use skm_clustering::distance::squared_distance;
 use skm_clustering::error::{ClusteringError, Result};
-use skm_clustering::{Centers, PointSet};
+use skm_clustering::{Centers, PointBlock};
 
 /// One micro-cluster: a cluster feature (CF) vector.
 #[derive(Debug, Clone)]
@@ -180,13 +180,17 @@ impl CluStream {
     }
 
     /// Weighted summary of the current micro-clusters (centroid + count).
-    fn summary(&self) -> PointSet {
+    ///
+    /// # Errors
+    /// [`ClusteringError::InvalidWeight`] if a micro-cluster count is not
+    /// finite.
+    fn summary(&self) -> Result<PointBlock> {
         let dim = self.dim.unwrap_or(1);
-        let mut set = PointSet::with_capacity(dim, self.micro_clusters.len());
+        let mut set = PointBlock::with_capacity(dim, self.micro_clusters.len());
         for mc in &self.micro_clusters {
-            set.push(&mc.centroid(), mc.count);
+            set.try_push(&mc.centroid(), mc.count)?;
         }
-        set
+        Ok(set)
     }
 }
 
@@ -259,8 +263,8 @@ impl StreamingClusterer for CluStream {
         if self.points_seen == 0 {
             return Err(ClusteringError::EmptyInput);
         }
-        let summary = self.summary();
-        let centers = extract_centers(&summary, &self.config, &mut self.rng)?;
+        let summary = self.summary()?;
+        let centers = extract_centers_block(&summary, &self.config, &mut self.rng)?;
         self.last_stats = Some(QueryStats {
             coresets_merged: 0,
             candidate_points: summary.len(),
@@ -288,11 +292,11 @@ impl StreamingClusterer for CluStream {
         // honestly (like the coreset backends' bucket granularity).
         let cutoff = self.points_seen - last_points;
         let dim = self.dim.unwrap_or(1);
-        let mut summary = PointSet::with_capacity(dim, self.micro_clusters.len());
+        let mut summary = PointBlock::with_capacity(dim, self.micro_clusters.len());
         let mut covered = 0.0f64;
         for mc in &self.micro_clusters {
             if mc.last_update > cutoff {
-                summary.push(&mc.centroid(), mc.count);
+                summary.try_push(&mc.centroid(), mc.count)?;
                 covered += mc.count;
             }
         }
@@ -302,7 +306,7 @@ impl StreamingClusterer for CluStream {
             // than panic inside k-means++ if the invariant ever breaks.
             return Err(ClusteringError::EmptyInput);
         }
-        let centers = extract_centers(&summary, &self.config, &mut self.rng)?;
+        let centers = extract_centers_block(&summary, &self.config, &mut self.rng)?;
         let stats = QueryStats {
             coresets_merged: 0,
             candidate_points: summary.len(),

@@ -20,7 +20,7 @@ use crate::config::StreamConfig;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use skm_clustering::error::Result;
-use skm_clustering::PointSet;
+use skm_clustering::PointBlock;
 use skm_coreset::construct::CoresetBuilder;
 use skm_coreset::coreset::Coreset;
 use skm_coreset::merge::merge_coresets;
@@ -81,11 +81,16 @@ impl CoresetTree {
 
     /// `CT-Update` (Algorithm 2): inserts one full base bucket of original
     /// points and performs any merges required to restore the digit
-    /// invariant.
+    /// invariant. The bucket keeps the norm cache its buffer filled, so
+    /// every later merge reuses it.
     ///
     /// # Errors
     /// Propagates coreset-construction errors.
-    pub fn insert_bucket<R: Rng + ?Sized>(&mut self, bucket: PointSet, rng: &mut R) -> Result<()> {
+    pub fn insert_bucket<R: Rng + ?Sized>(
+        &mut self,
+        bucket: PointBlock,
+        rng: &mut R,
+    ) -> Result<()> {
         self.buckets_inserted += 1;
         let r = self.merge_degree as usize;
         // Base-r increment: the new bucket lands at level 0, and every level
@@ -147,28 +152,25 @@ impl CoresetTree {
 
     /// Union of all active buckets as one weighted point block, together
     /// with the number of buckets unioned and the maximum coreset level
-    /// among them. The union is norm-cached, so the query-side k-means runs
-    /// entirely on the fused kernels without a separate norm pass.
+    /// among them. The buckets' cached norms are copied into the union, so
+    /// the query-side k-means runs on the fused kernels without a norm pass.
     ///
     /// Returns `(empty block, 0, 0)` when the tree holds no buckets.
     ///
     /// # Errors
     /// [`skm_clustering::ClusteringError::DimensionMismatch`] if two buckets
     /// disagree on the dimension.
-    pub fn union_all_block(
-        &self,
-        dim_hint: usize,
-    ) -> Result<(skm_clustering::PointBlock, usize, u32)> {
+    pub fn union_all_block(&self, dim_hint: usize) -> Result<(PointBlock, usize, u32)> {
         let coresets = self.active_coresets();
         let Some(first) = coresets.first() else {
-            return Ok((skm_clustering::PointBlock::new(dim_hint.max(1)), 0, 0));
+            return Ok((PointBlock::new(dim_hint.max(1)), 0, 0));
         };
         let dim = first.points().dim();
         let total: usize = coresets.iter().map(|c| c.len()).sum();
-        let mut union = skm_clustering::PointBlock::with_capacity(dim, total);
+        let mut union = PointBlock::with_capacity(dim, total);
         let mut max_level = 0;
         for c in &coresets {
-            union.extend_from_set(c.points())?;
+            union.extend_from_block(c.points())?;
             max_level = max_level.max(c.level());
         }
         Ok((union, coresets.len(), max_level))
@@ -225,8 +227,8 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn bucket(dim: usize, m: usize, offset: f64) -> PointSet {
-        let mut s = PointSet::new(dim);
+    fn bucket(dim: usize, m: usize, offset: f64) -> PointBlock {
+        let mut s = PointBlock::new(dim);
         for i in 0..m {
             let mut p = vec![offset; dim];
             p[0] += i as f64 * 0.01;

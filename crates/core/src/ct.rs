@@ -140,10 +140,7 @@ impl StreamingClusterer for CoresetTreeClusterer {
 
     fn update(&mut self, point: &[f64]) -> Result<()> {
         if let Some(full_bucket) = self.buffer.push(point)? {
-            // The block's coordinate and weight buffers move into the tree
-            // without copying; only the norm cache is dropped.
-            self.tree
-                .insert_bucket(full_bucket.into_point_set(), &mut self.rng)?;
+            self.tree.insert_bucket(full_bucket, &mut self.rng)?;
         }
         Ok(())
     }
@@ -151,9 +148,8 @@ impl StreamingClusterer for CoresetTreeClusterer {
     fn update_batch(&mut self, points: &[&[f64]]) -> Result<()> {
         let tree = &mut self.tree;
         let rng = &mut self.rng;
-        self.buffer.push_batch(points, |full_bucket| {
-            tree.insert_bucket(full_bucket.into_point_set(), rng)
-        })
+        self.buffer
+            .push_batch(points, |full_bucket| tree.insert_bucket(full_bucket, rng))
     }
 
     fn query(&mut self) -> Result<Centers> {

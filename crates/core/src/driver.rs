@@ -7,9 +7,9 @@
 //! buffer and runs k-means++ on the result.
 //!
 //! [`BucketBuffer`] implements the buffering part and
-//! [`extract_centers`] implements the "run k-means++ (best of `R` runs,
-//! each polished with Lloyd)" part, so that every algorithm in this crate
-//! shares identical driver behaviour.
+//! [`extract_centers_block`] implements the "run k-means++ (best of `R`
+//! runs, each polished with Lloyd)" part, so that every algorithm in this
+//! crate shares identical driver behaviour.
 
 use crate::config::StreamConfig;
 use rand::Rng;
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use skm_clustering::cost::assign_block;
 use skm_clustering::error::{ClusteringError, Result};
 use skm_clustering::kmeans::KMeans;
-use skm_clustering::{Centers, PointBlock, PointSet};
+use skm_clustering::{Centers, PointBlock};
 
 /// Validates one arriving stream point against an optional known stream
 /// dimension, returning the (possibly newly learned) dimension on success.
@@ -253,28 +253,9 @@ impl Deserialize for BucketBuffer {
 
 /// Runs the paper's query-side clustering procedure on a candidate coreset:
 /// best of `config.kmeans_runs` k-means++ seedings, each refined with up to
-/// `config.lloyd_iterations` Lloyd iterations.
-///
-/// # Errors
-/// Returns [`ClusteringError::EmptyInput`] when `candidates` is empty.
-pub fn extract_centers<R: Rng + ?Sized>(
-    candidates: &PointSet,
-    config: &StreamConfig,
-    rng: &mut R,
-) -> Result<Centers> {
-    if candidates.is_empty() {
-        return Err(ClusteringError::EmptyInput);
-    }
-    let result = KMeans::new(config.k)
-        .with_runs(config.kmeans_runs)
-        .with_max_lloyd_iterations(config.lloyd_iterations)
-        .fit(candidates, rng)?;
-    Ok(result.centers)
-}
-
-/// [`extract_centers`] over a norm-cached [`PointBlock`]: every seeding
-/// run and Lloyd iteration reuses the cached norms (including the ones the
-/// bucket buffer computed at update time for partially filled buckets).
+/// `config.lloyd_iterations` Lloyd iterations. Every seeding run and Lloyd
+/// iteration reuses the candidates' cached norms (including the ones the
+/// bucket buffer computed at update time).
 ///
 /// # Errors
 /// Returns [`ClusteringError::EmptyInput`] when `candidates` is empty.
@@ -394,7 +375,7 @@ pub(crate) fn window_candidates_from_suffix(
     let total_points: usize = selected.iter().map(|c| c.len()).sum();
     let mut block = PointBlock::with_capacity(dim, total_points + buffered as usize);
     for c in &selected {
-        block.extend_from_set(c.points())?;
+        block.extend_from_block(c.points())?;
         merged += 1;
         max_level = max_level.max(c.level());
         first_covered = first_covered.min(c.span().start());
@@ -536,14 +517,14 @@ mod tests {
 
     #[test]
     fn extract_centers_returns_k_centers() {
-        let mut points = PointSet::new(2);
+        let mut points = PointBlock::new(2);
         for i in 0..100 {
             let base = if i % 2 == 0 { 0.0 } else { 50.0 };
             points.push(&[base + f64::from(i % 5) * 0.1, base], 1.0);
         }
         let config = StreamConfig::new(2).with_kmeans_runs(2);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let centers = extract_centers(&points, &config, &mut rng).unwrap();
+        let centers = extract_centers_block(&points, &config, &mut rng).unwrap();
         assert_eq!(centers.len(), 2);
     }
 
@@ -551,7 +532,7 @@ mod tests {
     fn extract_centers_empty_is_error() {
         let config = StreamConfig::new(2);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        assert!(extract_centers(&PointSet::new(2), &config, &mut rng).is_err());
+        assert!(extract_centers_block(&PointBlock::new(2), &config, &mut rng).is_err());
     }
 
     #[test]

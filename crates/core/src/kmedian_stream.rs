@@ -85,10 +85,9 @@ impl StreamingClusterer for KMedianCC {
     }
 
     fn query(&mut self) -> Result<Centers> {
-        let (candidates, mut stats) = self.inner.query_candidates()?;
         // k-median works on plain Euclidean (not squared) distances, so the
-        // norm cache does not apply; move the buffers out without copying.
-        let candidates = candidates.into_point_set();
+        // candidates' norm cache goes unused.
+        let (candidates, mut stats) = self.inner.query_candidates()?;
         let seeded = kmedianpp(&candidates, self.config.k, &mut self.rng)?;
         let (centers, _cost) = if self.refine_rounds == 0 {
             let cost = skm_clustering::kmedian::kmedian_cost(&candidates, &seeded)?;
@@ -125,7 +124,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use skm_clustering::kmedian::kmedian_cost;
-    use skm_clustering::PointSet;
+    use skm_clustering::PointBlock;
 
     fn config(k: usize) -> StreamConfig {
         StreamConfig::new(k)
@@ -169,7 +168,7 @@ mod tests {
         let mut km = KMedianCC::new(config(1).with_bucket_size(50), 3).unwrap();
         let mut cc = CachedCoresetTree::new(config(1).with_bucket_size(50), 3).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut all = PointSet::new(1);
+        let mut all = PointBlock::new(1);
         for i in 0..600usize {
             let p = if i == 300 {
                 [100_000.0]
@@ -203,11 +202,9 @@ mod tests {
         assert_eq!(km.points_seen(), 2_000);
         assert!(km.memory_points() < 1_000);
         km.query().unwrap();
-        let cost_probe = kmedian_cost(
-            &PointSet::from_rows(3, vec![0.5; 3], vec![1.0]).unwrap(),
-            &km.query().unwrap(),
-        )
-        .unwrap();
+        let mut probe = PointBlock::new(3);
+        probe.push(&[0.5; 3], 1.0);
+        let cost_probe = kmedian_cost(&probe, &km.query().unwrap()).unwrap();
         assert!(cost_probe.is_finite());
     }
 }

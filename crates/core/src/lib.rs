@@ -27,7 +27,7 @@
 //! * [`config`] — the shared [`StreamConfig`] (k, bucket size `m`, merge
 //!   degree `r`, query-time k-means++ settings).
 //! * [`driver`] — the Algorithm 1 driver pieces: [`driver::BucketBuffer`]
-//!   and [`driver::extract_centers`].
+//!   and [`driver::extract_centers_block`].
 //! * [`shard`] — [`ShardedStream`]: multi-threaded ingestion that
 //!   partitions the stream round-robin across per-shard clusterers and
 //!   merges their coresets at query time.

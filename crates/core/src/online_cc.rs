@@ -17,14 +17,14 @@
 use crate::cc::CachedCoresetTree;
 use crate::clusterer::{QueryStats, StreamingClusterer};
 use crate::config::StreamConfig;
-use crate::driver::{extract_centers, extract_centers_block, extract_clustering_result};
+use crate::driver::{extract_centers_block, extract_clustering_result};
 use crate::publish::ClusteringResult;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
-use skm_clustering::cost::{assign, assign_block};
+use skm_clustering::cost::assign_block;
 use skm_clustering::distance::nearest_center;
 use skm_clustering::error::{ClusteringError, Result};
-use skm_clustering::{Centers, PointSet};
+use skm_clustering::{Centers, PointBlock};
 
 /// Absolute slack added to the fallback threshold `φ_now > α·φ_prev`.
 ///
@@ -58,7 +58,7 @@ pub struct OnlineCC {
     /// until the initialization buffer has filled.
     centers: Option<Centers>,
     /// Buffer of the first `init_size` points used to initialize `centers`.
-    init_buffer: Option<PointSet>,
+    init_buffer: Option<PointBlock>,
     /// Number of points used for initialization (`O(k)`, default `2k`).
     init_size: usize,
     /// Clustering cost at the previous fallback to CC.
@@ -140,9 +140,9 @@ impl OnlineCC {
     /// Initializes the sequential centers from the buffered prefix by
     /// running k-means++ (plus Lloyd refinement) on it, as in
     /// `OnlineCC-Init`.
-    fn initialize_centers(&mut self, buffer: &PointSet) -> Result<()> {
-        let mut centers = extract_centers(buffer, &self.config, &mut self.rng)?;
-        let assignment = assign(buffer, &centers)?;
+    fn initialize_centers(&mut self, buffer: &PointBlock) -> Result<()> {
+        let mut centers = extract_centers_block(buffer, &self.config, &mut self.rng)?;
+        let assignment = assign_block(buffer, &centers)?;
         for (j, mass) in assignment.cluster_weights.iter().enumerate() {
             // Sequential updates need a positive weight so the running
             // centroid formula is well defined.
@@ -196,7 +196,7 @@ impl StreamingClusterer for OnlineCC {
                     }
                     None => self
                         .init_buffer
-                        .insert(PointSet::with_capacity(point.len(), self.init_size)),
+                        .insert(PointBlock::with_capacity(point.len(), self.init_size)),
                 };
                 buffer.push(point, 1.0);
                 if buffer.len() >= self.init_size {
@@ -282,7 +282,7 @@ impl StreamingClusterer for OnlineCC {
     }
 
     fn memory_points(&self) -> usize {
-        let init = self.init_buffer.as_ref().map_or(0, PointSet::len);
+        let init = self.init_buffer.as_ref().map_or(0, PointBlock::len);
         let centers = self.centers.as_ref().map_or(0, Centers::len);
         self.inner.memory_points() + init + centers
     }
@@ -301,7 +301,7 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-    use skm_clustering::cost::kmeans_cost;
+    use skm_clustering::cost::kmeans_cost_block;
 
     fn config(k: usize, m: usize) -> StreamConfig {
         StreamConfig::new(k)
@@ -386,14 +386,14 @@ mod tests {
     fn lemma_10_phi_now_upper_bounds_true_cost() {
         let mut o = OnlineCC::new(config(3, 30), 2.0, 11).unwrap();
         let stream = blob_stream(900, 4);
-        let mut all = PointSet::new(2);
+        let mut all = PointBlock::new(2);
         for p in &stream {
             o.update(p).unwrap();
             all.push(p, 1.0);
         }
         // Trigger at least one rebuild so phi_now is based on a coreset.
         let centers = o.query().unwrap();
-        let true_cost = kmeans_cost(&all, &centers).unwrap();
+        let true_cost = kmeans_cost_block(&all, &centers).unwrap();
         // phi_now is an upper bound up to the coreset approximation; allow a
         // 25% slack for the (1 - eps) correction and sampling noise.
         assert!(
@@ -407,7 +407,7 @@ mod tests {
     #[test]
     fn accuracy_is_comparable_to_cc() {
         let stream = blob_stream(3_000, 5);
-        let mut all = PointSet::new(2);
+        let mut all = PointBlock::new(2);
         for p in &stream {
             all.push(p, 1.0);
         }
@@ -418,8 +418,8 @@ mod tests {
             online.update(p).unwrap();
             cc.update(p).unwrap();
         }
-        let online_cost = kmeans_cost(&all, &online.query().unwrap()).unwrap();
-        let cc_cost = kmeans_cost(&all, &cc.query().unwrap()).unwrap();
+        let online_cost = kmeans_cost_block(&all, &online.query().unwrap()).unwrap();
+        let cc_cost = kmeans_cost_block(&all, &cc.query().unwrap()).unwrap();
         // Allow a factor-3 band; on well-separated blobs both algorithms
         // find the optimal structure and the costs are nearly identical.
         assert!(

@@ -388,7 +388,7 @@ impl RecursiveCachedTree {
         match self.node.query_coreset(&mut self.rng)? {
             Some((coreset, merged)) => {
                 let level = coreset.level();
-                let mut candidates = PointBlock::from_point_set_owned(coreset.into_points());
+                let mut candidates = coreset.into_points();
                 let mut merged = merged;
                 if let Some(p) = self.buffer.partial() {
                     if !p.is_empty() {
@@ -483,7 +483,7 @@ impl StreamingClusterer for RecursiveCachedTree {
     fn update(&mut self, point: &[f64]) -> Result<()> {
         if let Some(full_bucket) = self.buffer.push(point)? {
             let bucket_no = self.node.buckets_inserted + 1;
-            let base = Coreset::base_bucket(full_bucket.into_point_set(), bucket_no);
+            let base = Coreset::base_bucket(full_bucket, bucket_no);
             self.node.insert(base, &mut self.rng)?;
         }
         Ok(())
@@ -494,7 +494,7 @@ impl StreamingClusterer for RecursiveCachedTree {
         let rng = &mut self.rng;
         self.buffer.push_batch(points, |full_bucket| {
             let bucket_no = node.buckets_inserted + 1;
-            let base = Coreset::base_bucket(full_bucket.into_point_set(), bucket_no);
+            let base = Coreset::base_bucket(full_bucket, bucket_no);
             node.insert(base, rng)
         })
     }

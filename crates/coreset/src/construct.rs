@@ -30,7 +30,7 @@ use skm_clustering::distance::{sq_dist_block, squared_norms};
 use skm_clustering::error::{ClusteringError, Result};
 use skm_clustering::kmeanspp::kmeanspp_assign_block;
 use skm_clustering::sampling::{cumulative_sums, sample_from_cumulative};
-use skm_clustering::{PointBlock, PointSet};
+use skm_clustering::PointBlock;
 
 /// Which coreset construction to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -87,47 +87,16 @@ impl CoresetBuilder {
         self
     }
 
-    /// Builds a coreset of `points`, labelling it with `span` and `level`.
+    /// Builds a coreset of `block`, labelling it with `span` and `level`.
     ///
-    /// If `points` has at most `size` points the summary is exact: the points
+    /// If `block` has at most `size` points the summary is exact: the points
     /// are copied verbatim (a 0-error coreset), which mirrors what the
-    /// streaming algorithms do with partially filled buckets.
-    ///
-    /// This is a thin adapter over [`CoresetBuilder::build_block`]: the input
-    /// is lifted into a [`PointBlock`] once so the k-means++ D² sampling and
-    /// the weight transfer run through the fused distance kernels with a
-    /// single shared norm cache.
+    /// streaming algorithms do with partially filled buckets. Otherwise the
+    /// k-means++ D² sampling and the weight transfer run through the fused
+    /// distance kernels, reusing the block's cached squared norms.
     ///
     /// # Errors
-    /// Returns an error if `points` is empty or the builder size is zero.
-    pub fn build<R: Rng + ?Sized>(
-        &self,
-        points: &PointSet,
-        span: Span,
-        level: u32,
-        rng: &mut R,
-    ) -> Result<Coreset> {
-        if points.is_empty() {
-            return Err(ClusteringError::EmptyInput);
-        }
-        if self.size == 0 {
-            return Err(ClusteringError::InvalidParameter {
-                name: "size",
-                message: "coreset size must be positive".to_string(),
-            });
-        }
-        if points.len() <= self.size {
-            return Ok(Coreset::with_parts(points.clone(), span, level));
-        }
-        let block = PointBlock::from_point_set(points);
-        self.build_block(&block, span, level, rng)
-    }
-
-    /// Builds a coreset from a [`PointBlock`], reusing its cached squared
-    /// norms for every distance evaluated during construction.
-    ///
-    /// # Errors
-    /// Same failure modes as [`CoresetBuilder::build`].
+    /// Returns an error if `block` is empty or the builder size is zero.
     pub fn build_block<R: Rng + ?Sized>(
         &self,
         block: &PointBlock,
@@ -145,7 +114,7 @@ impl CoresetBuilder {
             });
         }
         if block.len() <= self.size {
-            return Ok(Coreset::with_parts(block.to_point_set(), span, level));
+            return Ok(Coreset::with_parts(block.clone(), span, level));
         }
         let summary = match self.method {
             CoresetMethod::KMeansPP => kmeanspp_coreset(block, self.size, rng)?,
@@ -167,12 +136,12 @@ fn kmeanspp_coreset<R: Rng + ?Sized>(
     block: &PointBlock,
     size: usize,
     rng: &mut R,
-) -> Result<PointSet> {
+) -> Result<PointBlock> {
     let (representatives, assignment) = kmeanspp_assign_block(block, size, rng)?;
-    let mut out = PointSet::with_capacity(block.dim(), representatives.len());
+    let mut out = PointBlock::with_capacity(block.dim(), representatives.len());
     for (rep, &w) in representatives.iter().zip(&assignment.cluster_weights) {
         if w > 0.0 {
-            out.push(rep, w);
+            out.try_push(rep, w)?;
         }
     }
     Ok(out)
@@ -195,7 +164,7 @@ fn sensitivity_coreset<R: Rng + ?Sized>(
     k: usize,
     size: usize,
     rng: &mut R,
-) -> Result<PointSet> {
+) -> Result<PointBlock> {
     let (rough, assignment) = kmeanspp_assign_block(points, k, rng)?;
     let total_cost = assignment.cost;
     let total_weight = points.total_weight();
@@ -209,7 +178,7 @@ fn sensitivity_coreset<R: Rng + ?Sized>(
         .map(|((center, &norm), &mass)| (center, norm, mass.max(f64::MIN_POSITIVE)))
         .collect();
     let mut sens = Vec::with_capacity(points.len());
-    for ((p, w, norm), &label) in points.view().iter().zip(&assignment.labels) {
+    for ((p, w, norm), &label) in points.iter().zip(&assignment.labels) {
         let &(center, center_norm, cluster_mass) = clusters
             .get(label)
             .ok_or_else(|| sensitivity_error("the rough assignment names no such center"))?;
@@ -229,22 +198,22 @@ fn sensitivity_coreset<R: Rng + ?Sized>(
     }
 
     let cumulative = cumulative_sums(&sens);
-    let mut out = PointSet::with_capacity(points.dim(), size);
+    let mut out = PointBlock::with_capacity(points.dim(), size);
     for _ in 0..size {
         let (idx, s) = sample_from_cumulative(&cumulative, rng)
             .and_then(|idx| sens.get(idx).map(|&s| (idx, s)))
             .ok_or_else(|| sensitivity_error("no finite positive sensitivity to sample"))?;
         let prob = s / sens_total;
         let weight = points.weight(idx) / (size as f64 * prob);
-        out.push(points.point(idx), weight);
+        out.try_push(points.point(idx), weight)?;
     }
     // Rescale so the summary carries exactly the input mass.
     let out_weight = out.total_weight();
     if out_weight > 0.0 {
         let scale = total_weight / out_weight;
-        let mut rescaled = PointSet::with_capacity(out.dim(), out.len());
-        for (p, w) in out.iter() {
-            rescaled.push(p, w * scale);
+        let mut rescaled = PointBlock::with_capacity(out.dim(), out.len());
+        for (p, w, _) in out.iter() {
+            rescaled.try_push(p, w * scale)?;
         }
         return Ok(rescaled);
     }
@@ -265,15 +234,15 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use skm_clustering::cost::kmeans_cost;
+    use skm_clustering::cost::kmeans_cost_block;
     use skm_clustering::kmeans::KMeans;
 
     /// A mixture of 4 Gaussian-ish blobs with 2000 points.
-    fn blobs(seed: u64) -> PointSet {
+    fn blobs(seed: u64) -> PointBlock {
         use rand::Rng;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let anchors = [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (50.0, 50.0)];
-        let mut s = PointSet::new(2);
+        let mut s = PointBlock::new(2);
         for i in 0..2000 {
             let (ax, ay) = anchors[i % 4];
             let x: f64 = ax + rng.gen::<f64>() * 2.0 - 1.0;
@@ -285,13 +254,13 @@ mod tests {
 
     #[test]
     fn small_inputs_are_copied_exactly() {
-        let mut points = PointSet::new(1);
+        let mut points = PointBlock::new(1);
         points.push(&[1.0], 2.0);
         points.push(&[3.0], 4.0);
         let builder = CoresetBuilder::new(2).with_size(10);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let c = builder
-            .build(&points, Span::single(1), 0, &mut rng)
+            .build_block(&points, Span::single(1), 0, &mut rng)
             .unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(c.points().point(0), &[1.0]);
@@ -304,7 +273,7 @@ mod tests {
         let builder = CoresetBuilder::new(4).with_size(80);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let c = builder
-            .build(&points, Span::new(1, 4), 1, &mut rng)
+            .build_block(&points, Span::new(1, 4), 1, &mut rng)
             .unwrap();
         assert!(c.len() <= 80);
         assert!(c.len() >= 4);
@@ -321,7 +290,7 @@ mod tests {
             .with_method(CoresetMethod::SensitivitySampling);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let c = builder
-            .build(&points, Span::single(1), 1, &mut rng)
+            .build_block(&points, Span::single(1), 1, &mut rng)
             .unwrap();
         assert_eq!(c.len(), 80);
         assert!((c.total_weight() - points.total_weight()).abs() < 1e-6);
@@ -334,14 +303,17 @@ mod tests {
     fn coreset_approximates_cost_of_good_clustering() {
         let points = blobs(5);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let reference = KMeans::new(4).with_runs(3).fit(&points, &mut rng).unwrap();
+        let reference = KMeans::new(4)
+            .with_runs(3)
+            .fit_block(&points, &mut rng)
+            .unwrap();
         for method in [CoresetMethod::KMeansPP, CoresetMethod::SensitivitySampling] {
             let builder = CoresetBuilder::new(4).with_size(200).with_method(method);
             let c = builder
-                .build(&points, Span::single(1), 1, &mut rng)
+                .build_block(&points, Span::single(1), 1, &mut rng)
                 .unwrap();
-            let full_cost = kmeans_cost(&points, &reference.centers).unwrap();
-            let coreset_cost = kmeans_cost(c.points(), &reference.centers).unwrap();
+            let full_cost = kmeans_cost_block(&points, &reference.centers).unwrap();
+            let coreset_cost = kmeans_cost_block(c.points(), &reference.centers).unwrap();
             let rel_err = (full_cost - coreset_cost).abs() / full_cost;
             assert!(
                 rel_err < 0.35,
@@ -356,16 +328,19 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let builder = CoresetBuilder::new(4).with_size(200);
         let c = builder
-            .build(&points, Span::single(1), 1, &mut rng)
+            .build_block(&points, Span::single(1), 1, &mut rng)
             .unwrap();
 
         let from_coreset = KMeans::new(4)
             .with_runs(3)
-            .fit(c.points(), &mut rng)
+            .fit_block(c.points(), &mut rng)
             .unwrap();
-        let from_data = KMeans::new(4).with_runs(3).fit(&points, &mut rng).unwrap();
+        let from_data = KMeans::new(4)
+            .with_runs(3)
+            .fit_block(&points, &mut rng)
+            .unwrap();
 
-        let cost_via_coreset = kmeans_cost(&points, &from_coreset.centers).unwrap();
+        let cost_via_coreset = kmeans_cost_block(&points, &from_coreset.centers).unwrap();
         // Clustering the coreset should cost at most ~2x clustering the data
         // directly (in practice it is nearly identical on separated blobs).
         assert!(
@@ -377,10 +352,12 @@ mod tests {
 
     #[test]
     fn empty_input_is_error() {
-        let empty = PointSet::new(2);
+        let empty = PointBlock::new(2);
         let builder = CoresetBuilder::new(3);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        assert!(builder.build(&empty, Span::single(1), 0, &mut rng).is_err());
+        assert!(builder
+            .build_block(&empty, Span::single(1), 0, &mut rng)
+            .is_err());
     }
 
     #[test]
@@ -389,7 +366,7 @@ mod tests {
         let builder = CoresetBuilder::new(3).with_size(0);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(builder
-            .build(&points, Span::single(1), 0, &mut rng)
+            .build_block(&points, Span::single(1), 0, &mut rng)
             .is_err());
     }
 
@@ -398,7 +375,7 @@ mod tests {
         let points = blobs(11);
         let builder = CoresetBuilder::new(4).with_size(50);
         let a = builder
-            .build(
+            .build_block(
                 &points,
                 Span::single(1),
                 1,
@@ -406,7 +383,7 @@ mod tests {
             )
             .unwrap();
         let b = builder
-            .build(
+            .build_block(
                 &points,
                 Span::single(1),
                 1,

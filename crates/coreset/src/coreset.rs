@@ -2,9 +2,9 @@
 
 use crate::span::Span;
 use serde::{Deserialize, Serialize};
-use skm_clustering::PointSet;
+use skm_clustering::PointBlock;
 
-/// A weighted point set summarizing the base buckets in `span`, together
+/// A weighted point block summarizing the base buckets in `span`, together
 /// with its coreset *level* (Definition 2 of the paper).
 ///
 /// * A **level-0** coreset of `P` is `P` itself — base buckets are level 0.
@@ -16,9 +16,14 @@ use skm_clustering::PointSet;
 /// per-merge parameter `ε` is a `((1 + ε)^ℓ − 1)`-coreset of the original
 /// points. The streaming algorithms therefore track levels explicitly, and
 /// the tests verify the level bounds of Fact 1 (CT) and Lemma 5 (CC).
+///
+/// The points keep the squared norms their block cached when they were
+/// pushed, so every merge and query reuses them instead of recomputing
+/// them; a deserialized coreset rebuilds them (and validates its points)
+/// through [`PointBlock`]'s deserializer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Coreset {
-    points: PointSet,
+    points: PointBlock,
     span: Span,
     level: u32,
 }
@@ -26,7 +31,7 @@ pub struct Coreset {
 impl Coreset {
     /// Wraps a raw base bucket (level 0) covering base bucket `bucket`.
     #[must_use]
-    pub fn base_bucket(points: PointSet, bucket: u64) -> Self {
+    pub fn base_bucket(points: PointBlock, bucket: u64) -> Self {
         Self {
             points,
             span: Span::single(bucket),
@@ -37,7 +42,7 @@ impl Coreset {
     /// Creates a coreset with an explicit span and level. Used by the
     /// constructors in [`crate::construct`] and [`crate::merge`].
     #[must_use]
-    pub fn with_parts(points: PointSet, span: Span, level: u32) -> Self {
+    pub fn with_parts(points: PointBlock, span: Span, level: u32) -> Self {
         Self {
             points,
             span,
@@ -47,13 +52,13 @@ impl Coreset {
 
     /// The summarized weighted points.
     #[must_use]
-    pub fn points(&self) -> &PointSet {
+    pub fn points(&self) -> &PointBlock {
         &self.points
     }
 
-    /// Consumes the coreset and returns the underlying point set.
+    /// Consumes the coreset and returns the underlying point block.
     #[must_use]
-    pub fn into_points(self) -> PointSet {
+    pub fn into_points(self) -> PointBlock {
         self.points
     }
 
@@ -93,21 +98,14 @@ impl Coreset {
     pub fn total_weight(&self) -> f64 {
         self.points.total_weight()
     }
-
-    /// Memory used by the stored coordinates, in bytes (8 bytes per
-    /// dimension per point), matching the paper's Table 4 accounting.
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
-        self.points.memory_bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn small_points() -> PointSet {
-        let mut s = PointSet::new(2);
+    fn small_points() -> PointBlock {
+        let mut s = PointBlock::new(2);
         s.push(&[0.0, 0.0], 1.0);
         s.push(&[1.0, 1.0], 2.0);
         s
@@ -135,7 +133,9 @@ mod tests {
     fn total_weight_and_memory() {
         let c = Coreset::base_bucket(small_points(), 1);
         assert!((c.total_weight() - 3.0).abs() < 1e-12);
-        assert_eq!(c.memory_bytes(), 2 * 2 * 8);
+        // Memory is accounted in stored points, as the streaming
+        // algorithms' `memory_points` does (Table 4).
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

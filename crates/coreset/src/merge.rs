@@ -13,7 +13,7 @@ use crate::coreset::Coreset;
 use crate::span::Span;
 use rand::Rng;
 use skm_clustering::error::{ClusteringError, Result};
-use skm_clustering::{PointBlock, PointSet};
+use skm_clustering::PointBlock;
 
 /// Merges `inputs` (which must cover contiguous, non-overlapping,
 /// consecutive spans, in order) into a single coreset of at most
@@ -45,46 +45,26 @@ pub fn merge_coresets<R: Rng + ?Sized>(
     if total_points == 0 {
         return Err(ClusteringError::EmptyInput);
     }
-    // Union directly into a PointBlock: the norm cache fills while copying,
-    // so the reduction below runs entirely on fused kernels without a
-    // separate norm pass over the merged points.
+    // The inputs' cached norms are copied with their points, so the
+    // reduction below runs on the fused kernels without a norm pass.
     let mut union = PointBlock::with_capacity(dim, total_points);
     for c in inputs {
-        union.extend_from_set(c.points())?;
+        union.extend_from_block(c.points())?;
     }
 
     let level = 1 + inputs.iter().map(Coreset::level).max().unwrap_or(0);
     builder.build_block(&union, union_span, level, rng)
 }
 
-/// Unions the points of the given coresets **without** reducing them.
-///
-/// This is what `CT-Coreset` does at query time (Algorithm 2, line 10): the
-/// union of all active buckets is handed directly to k-means++ without an
-/// extra reduction step, so no level increase is incurred.
-///
-/// # Errors
-/// Returns an error when `inputs` is empty or dimensions mismatch.
-pub fn union_points(inputs: &[&Coreset]) -> Result<PointSet> {
-    let first = inputs.first().ok_or(ClusteringError::EmptyInput)?;
-    let dim = first.points().dim();
-    let total: usize = inputs.iter().map(|c| c.len()).sum();
-    let mut out = PointSet::with_capacity(dim, total);
-    for c in inputs {
-        out.extend_from(c.points())?;
-    }
-    Ok(out)
-}
-
 /// Unions norm-cached point blocks into a single block **without** reducing
 /// them, reusing every input's cached squared norms.
 ///
-/// This is the cross-shard counterpart of [`union_points`]: each shard of a
-/// sharded stream summarizes a *disjoint* slice of the input (so by
-/// Observation 1 the union of the per-shard coresets is a coreset of the
-/// whole stream), and the blocks carry the norms their buffers computed at
-/// update time, so the union feeds the fused query kernels without an extra
-/// norm pass. Empty inputs are skipped.
+/// Each shard of a sharded stream summarizes a *disjoint* slice of the
+/// input, so by Observation 1 the union of the per-shard coresets is a
+/// coreset of the whole stream. No reduction means no level increase, as
+/// in `CT-Coreset` (Algorithm 2, line 10). The blocks carry the norms
+/// their buffers computed at update time, so the union feeds the fused
+/// query kernels without an extra norm pass. Empty inputs are skipped.
 ///
 /// # Errors
 /// Returns [`ClusteringError::EmptyInput`] when the inputs contain no
@@ -112,7 +92,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn bucket(value: f64, n: usize, bucket_no: u64) -> Coreset {
-        let mut s = PointSet::new(1);
+        let mut s = PointBlock::new(1);
         for i in 0..n {
             s.push(&[value + i as f64 * 0.001], 1.0);
         }
@@ -186,23 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn union_points_concatenates() {
-        let a = bucket(0.0, 5, 1);
-        let b = bucket(1.0, 7, 2);
-        let u = union_points(&[&a, &b]).unwrap();
-        assert_eq!(u.len(), 12);
-        assert!((u.total_weight() - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn union_points_empty_is_error() {
-        assert!(union_points(&[]).is_err());
-    }
-
-    #[test]
     fn union_blocks_concatenates_and_reuses_norms() {
-        let a = PointBlock::from_point_set(bucket(3.0, 4, 1).points());
-        let b = PointBlock::from_point_set(bucket(5.0, 2, 2).points());
+        let a = bucket(3.0, 4, 1).into_points();
+        let b = bucket(5.0, 2, 2).into_points();
         let empty = PointBlock::new(1);
         let u = union_blocks(&[a.clone(), empty, b.clone()]).unwrap();
         assert_eq!(u.len(), 6);
@@ -215,7 +181,7 @@ mod tests {
     fn union_blocks_rejects_empty_and_mismatched_inputs() {
         assert!(union_blocks(&[]).is_err());
         assert!(union_blocks(&[PointBlock::new(2)]).is_err());
-        let a = PointBlock::from_point_set(bucket(1.0, 3, 1).points());
+        let a = bucket(1.0, 3, 1).into_points();
         let mut wrong = PointBlock::new(2);
         wrong.push(&[0.0, 0.0], 1.0);
         assert!(union_blocks(&[a, wrong]).is_err());

@@ -7,7 +7,7 @@
 
 use crate::dataset::Dataset;
 use skm_clustering::error::{ClusteringError, Result};
-use skm_clustering::PointSet;
+use skm_clustering::PointBlock;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -39,8 +39,8 @@ impl Default for CsvOptions {
 /// # Errors
 /// Returns an error when a row is non-numeric or has an inconsistent number
 /// of columns.
-pub fn parse_points(text: &str, options: CsvOptions) -> Result<PointSet> {
-    let mut points: Option<PointSet> = None;
+pub fn parse_points(text: &str, options: CsvOptions) -> Result<PointBlock> {
+    let mut points: Option<PointBlock> = None;
     let mut rows = 0usize;
     for (line_no, line) in text.lines().enumerate() {
         if line_no == 0 && options.has_header {
@@ -68,7 +68,7 @@ pub fn parse_points(text: &str, options: CsvOptions) -> Result<PointSet> {
         }
         let set = match &mut points {
             Some(s) => s,
-            None => points.insert(PointSet::new(values.len())),
+            None => points.insert(PointBlock::new(values.len())),
         };
         set.try_push(&values, 1.0)?;
         rows += 1;
@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn save_and_load_round_trip() {
-        let mut points = PointSet::new(2);
+        let mut points = PointBlock::new(2);
         points.push(&[1.5, -2.25], 1.0);
         points.push(&[0.0, 42.0], 1.0);
         let dataset = Dataset::new("roundtrip", points);

@@ -2,7 +2,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use skm_clustering::PointSet;
+use skm_clustering::PointBlock;
 
 /// A named, in-memory dataset that is consumed as a stream of points.
 ///
@@ -12,13 +12,13 @@ use skm_clustering::PointSet;
 #[derive(Debug, Clone)]
 pub struct Dataset {
     name: String,
-    points: PointSet,
+    points: PointBlock,
 }
 
 impl Dataset {
     /// Wraps a point set under a dataset name.
     #[must_use]
-    pub fn new(name: impl Into<String>, points: PointSet) -> Self {
+    pub fn new(name: impl Into<String>, points: PointBlock) -> Self {
         Self {
             name: name.into(),
             points,
@@ -33,7 +33,7 @@ impl Dataset {
 
     /// The underlying points.
     #[must_use]
-    pub fn points(&self) -> &PointSet {
+    pub fn points(&self) -> &PointBlock {
         &self.points
     }
 
@@ -60,7 +60,7 @@ impl Dataset {
     pub fn shuffled<R: Rng + ?Sized>(&self, rng: &mut R) -> Self {
         let mut order: Vec<usize> = (0..self.points.len()).collect();
         order.shuffle(rng);
-        let mut shuffled = PointSet::with_capacity(self.points.dim(), self.points.len());
+        let mut shuffled = PointBlock::with_capacity(self.points.dim(), self.points.len());
         for idx in order {
             shuffled.push(self.points.point(idx), self.points.weight(idx));
         }
@@ -75,7 +75,7 @@ impl Dataset {
     #[must_use]
     pub fn truncated(&self, n: usize) -> Self {
         let keep = n.min(self.points.len());
-        let mut points = PointSet::with_capacity(self.points.dim(), keep);
+        let mut points = PointBlock::with_capacity(self.points.dim(), keep);
         for i in 0..keep {
             points.push(self.points.point(i), self.points.weight(i));
         }
@@ -87,7 +87,7 @@ impl Dataset {
 
     /// Iterates over the point coordinate slices in stream order.
     pub fn stream(&self) -> impl Iterator<Item = &[f64]> + '_ {
-        self.points.iter().map(|(p, _)| p)
+        self.points.iter().map(|(p, _, _)| p)
     }
 }
 
@@ -98,7 +98,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn dataset() -> Dataset {
-        let mut s = PointSet::new(2);
+        let mut s = PointBlock::new(2);
         for i in 0..10 {
             s.push(&[f64::from(i), 0.0], 1.0);
         }

@@ -13,7 +13,7 @@ use crate::dataset::Dataset;
 use crate::gaussian::normal_sample;
 use rand::Rng;
 use skm_clustering::error::{ClusteringError, Result};
-use skm_clustering::PointSet;
+use skm_clustering::PointBlock;
 
 /// Drifting-RBF stream generator (MOA-style).
 #[derive(Debug, Clone)]
@@ -119,7 +119,7 @@ impl RbfDriftGenerator {
             })
             .collect();
 
-        let mut points = PointSet::with_capacity(self.dim, n);
+        let mut points = PointBlock::with_capacity(self.dim, n);
         let mut buf = vec![0.0; self.dim];
         let per_step = self.points_per_step * self.n_centers;
         for i in 0..n {

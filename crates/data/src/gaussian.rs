@@ -6,7 +6,7 @@
 use crate::dataset::Dataset;
 use rand::Rng;
 use skm_clustering::error::{ClusteringError, Result};
-use skm_clustering::PointSet;
+use skm_clustering::PointBlock;
 
 /// Draws one sample from `N(mean, std²)` using the Box–Muller transform.
 ///
@@ -149,7 +149,7 @@ impl GaussianMixture {
     #[must_use]
     pub fn generate<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Dataset {
         let total_weight: f64 = self.components.iter().map(|c| c.weight).sum();
-        let mut points = PointSet::with_capacity(self.dim, n);
+        let mut points = PointBlock::with_capacity(self.dim, n);
         let mut buf = vec![0.0; self.dim];
         for _ in 0..n {
             // Pick a component.

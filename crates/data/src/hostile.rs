@@ -25,7 +25,7 @@
 use crate::dataset::Dataset;
 use crate::gaussian::normal_sample;
 use rand::Rng;
-use skm_clustering::PointSet;
+use skm_clustering::PointBlock;
 
 /// A duplicate-heavy stream: `distinct` point values in `dim` dimensions,
 /// each emitted over and over (in round-robin order) until `n` points
@@ -44,7 +44,7 @@ pub fn heavy_duplicates<R: Rng + ?Sized>(
     let values: Vec<Vec<f64>> = (0..distinct)
         .map(|_| (0..dim).map(|_| rng.gen::<f64>() * 100.0).collect())
         .collect();
-    let mut points = PointSet::with_capacity(dim, n);
+    let mut points = PointBlock::with_capacity(dim, n);
     for i in 0..n {
         points.push(&values[i % distinct], 1.0);
     }
@@ -68,7 +68,7 @@ pub fn near_zero_variance<R: Rng + ?Sized>(
     let centers: Vec<Vec<f64>> = (0..clusters)
         .map(|c| (0..dim).map(|d| (c * dim + d) as f64).collect())
         .collect();
-    let mut points = PointSet::with_capacity(dim, n);
+    let mut points = PointBlock::with_capacity(dim, n);
     let mut buf = vec![0.0; dim];
     for i in 0..n {
         let center = &centers[i % clusters];
@@ -95,7 +95,7 @@ pub fn dimension_hot_outliers<R: Rng + ?Sized>(
 ) -> Dataset {
     let dim = dim.max(1);
     let outlier_every = outlier_every.max(2);
-    let mut points = PointSet::with_capacity(dim, n);
+    let mut points = PointBlock::with_capacity(dim, n);
     let mut buf = vec![0.0; dim];
     for i in 0..n {
         for slot in &mut buf {
@@ -137,7 +137,7 @@ pub fn adversarial_order<R: Rng + ?Sized>(
     }
     let norm2 = |row: &[f64]| row.iter().map(|x| x * x).sum::<f64>();
     rows.sort_by(|a, b| norm2(a).total_cmp(&norm2(b)));
-    let mut points = PointSet::with_capacity(dim, n);
+    let mut points = PointBlock::with_capacity(dim, n);
     let (mut lo, mut hi) = (0usize, n);
     // Outside-in interleave: hi-1, lo, hi-2, lo+1, ...
     while lo < hi {
@@ -160,7 +160,7 @@ pub fn high_dim<R: Rng + ?Sized>(n: usize, clusters: usize, dim: usize, rng: &mu
     let clusters = clusters.max(1);
     let dim = dim.max(1);
     let spread = 50.0;
-    let mut points = PointSet::with_capacity(dim, n);
+    let mut points = PointBlock::with_capacity(dim, n);
     let mut buf = vec![0.0; dim];
     for i in 0..n {
         let c = i % clusters;

@@ -18,7 +18,7 @@
 
 use crate::dataset::Dataset;
 use skm_clustering::error::{ClusteringError, Result};
-use skm_clustering::PointSet;
+use skm_clustering::PointBlock;
 
 /// Per-attribute z-score normalization: `x ↦ (x − μ) / σ`.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,7 +35,7 @@ impl ZScoreNormalizer {
     ///
     /// # Errors
     /// Returns [`ClusteringError::EmptyInput`] when the sample is empty.
-    pub fn fit(sample: &PointSet) -> Result<Self> {
+    pub fn fit(sample: &PointBlock) -> Result<Self> {
         if sample.is_empty() {
             return Err(ClusteringError::EmptyInput);
         }
@@ -45,7 +45,7 @@ impl ZScoreNormalizer {
             return Err(ClusteringError::EmptyInput);
         }
         let mut means = vec![0.0; dim];
-        for (p, w) in sample.iter() {
+        for (p, w, _) in sample.iter() {
             for (m, x) in means.iter_mut().zip(p) {
                 *m += w * x;
             }
@@ -54,7 +54,7 @@ impl ZScoreNormalizer {
             *m /= total;
         }
         let mut vars = vec![0.0; dim];
-        for (p, w) in sample.iter() {
+        for (p, w, _) in sample.iter() {
             for ((v, x), m) in vars.iter_mut().zip(p).zip(&means) {
                 *v += w * (x - m) * (x - m);
             }
@@ -102,9 +102,9 @@ impl ZScoreNormalizer {
     /// Returns a dimension mismatch error when the dataset has the wrong
     /// dimensionality.
     pub fn transform_dataset(&self, dataset: &Dataset) -> Result<Dataset> {
-        let mut out = PointSet::with_capacity(dataset.dim(), dataset.len());
+        let mut out = PointBlock::with_capacity(dataset.dim(), dataset.len());
         let mut buf = vec![0.0; dataset.dim()];
-        for (p, w) in dataset.points().iter() {
+        for (p, w, _) in dataset.points().iter() {
             buf.copy_from_slice(p);
             self.transform_in_place(&mut buf)?;
             out.push(&buf, w);
@@ -126,8 +126,8 @@ impl MinMaxScaler {
     ///
     /// # Errors
     /// Returns [`ClusteringError::EmptyInput`] when the sample is empty.
-    pub fn fit(sample: &PointSet) -> Result<Self> {
-        let (mins, maxs) = sample.bounding_box().ok_or(ClusteringError::EmptyInput)?;
+    pub fn fit(sample: &PointBlock) -> Result<Self> {
+        let (mins, maxs) = bounding_box(sample).ok_or(ClusteringError::EmptyInput)?;
         let ranges = mins
             .iter()
             .zip(&maxs)
@@ -173,9 +173,9 @@ impl MinMaxScaler {
     /// Returns a dimension mismatch error when the dataset has the wrong
     /// dimensionality.
     pub fn transform_dataset(&self, dataset: &Dataset) -> Result<Dataset> {
-        let mut out = PointSet::with_capacity(dataset.dim(), dataset.len());
+        let mut out = PointBlock::with_capacity(dataset.dim(), dataset.len());
         let mut buf = vec![0.0; dataset.dim()];
-        for (p, w) in dataset.points().iter() {
+        for (p, w, _) in dataset.points().iter() {
             buf.copy_from_slice(p);
             self.transform_in_place(&mut buf)?;
             out.push(&buf, w);
@@ -184,16 +184,48 @@ impl MinMaxScaler {
     }
 }
 
+/// Axis-aligned bounding box `(min, max)` of the points, ignoring weights.
+/// Returns `None` for an empty block.
+fn bounding_box(points: &PointBlock) -> Option<(Vec<f64>, Vec<f64>)> {
+    if points.is_empty() {
+        return None;
+    }
+    let mut lo = points.point(0).to_vec();
+    let mut hi = lo.clone();
+    for (p, _, _) in points.iter().skip(1) {
+        for ((l, h), &x) in lo.iter_mut().zip(&mut hi).zip(p) {
+            if x < *l {
+                *l = x;
+            }
+            if x > *h {
+                *h = x;
+            }
+        }
+    }
+    Some((lo, hi))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> PointSet {
-        let mut s = PointSet::new(2);
+    fn sample() -> PointBlock {
+        let mut s = PointBlock::new(2);
         s.push(&[0.0, 100.0], 1.0);
         s.push(&[2.0, 200.0], 1.0);
         s.push(&[4.0, 300.0], 1.0);
         s
+    }
+
+    #[test]
+    fn bounding_box_covers_all_points() {
+        let mut s = PointBlock::new(2);
+        s.push(&[0.0, 0.0], 1.0);
+        s.push(&[2.0, 0.0], 1.0);
+        s.push(&[0.0, 2.0], 2.0);
+        let (lo, hi) = bounding_box(&s).unwrap();
+        assert_eq!(lo, vec![0.0, 0.0]);
+        assert_eq!(hi, vec![2.0, 2.0]);
     }
 
     #[test]
@@ -215,7 +247,7 @@ mod tests {
 
     #[test]
     fn zscore_handles_constant_attributes() {
-        let mut s = PointSet::new(2);
+        let mut s = PointBlock::new(2);
         s.push(&[5.0, 1.0], 1.0);
         s.push(&[5.0, 3.0], 1.0);
         let normalizer = ZScoreNormalizer::fit(&s).unwrap();
@@ -242,8 +274,8 @@ mod tests {
 
     #[test]
     fn errors_on_empty_or_mismatched_inputs() {
-        assert!(ZScoreNormalizer::fit(&PointSet::new(2)).is_err());
-        assert!(MinMaxScaler::fit(&PointSet::new(2)).is_err());
+        assert!(ZScoreNormalizer::fit(&PointBlock::new(2)).is_err());
+        assert!(MinMaxScaler::fit(&PointBlock::new(2)).is_err());
         let normalizer = ZScoreNormalizer::fit(&sample()).unwrap();
         let mut wrong = vec![1.0];
         assert!(normalizer.transform_in_place(&mut wrong).is_err());
@@ -253,7 +285,7 @@ mod tests {
 
     #[test]
     fn transform_preserves_weights_and_length() {
-        let mut s = PointSet::new(1);
+        let mut s = PointBlock::new(1);
         s.push(&[1.0], 2.5);
         s.push(&[9.0], 0.5);
         let d = Dataset::new("w", s);

@@ -21,7 +21,7 @@
 use crate::dataset::Dataset;
 use crate::gaussian::{normal_sample, Component, GaussianMixture};
 use rand::Rng;
-use skm_clustering::PointSet;
+use skm_clustering::PointBlock;
 
 /// Default scaled-down number of points for the synthetic stand-ins.
 pub const DEFAULT_POINTS: usize = 100_000;
@@ -63,7 +63,7 @@ pub fn covtype_like<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Dataset {
 #[must_use]
 pub fn power_like<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Dataset {
     let dim = 7;
-    let mut points = PointSet::with_capacity(dim, n);
+    let mut points = PointBlock::with_capacity(dim, n);
     let mut buf = vec![0.0; dim];
     for t in 0..n {
         // One sample per minute; 1440 minutes per day.

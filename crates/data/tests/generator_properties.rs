@@ -3,7 +3,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use skm_clustering::cost::kmeans_cost;
+use skm_clustering::cost::kmeans_cost_block;
 use skm_clustering::kmeans::KMeans;
 use skm_data::prelude::*;
 use skm_data::transform::ZScoreNormalizer;
@@ -15,10 +15,10 @@ fn covtype_like_clusters_better_with_more_centers() {
     // meaningless on this dataset).
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let d = covtype_like(4_000, &mut rng);
-    let k1 = KMeans::new(1).fit(d.points(), &mut rng).unwrap().cost;
+    let k1 = KMeans::new(1).fit_block(d.points(), &mut rng).unwrap().cost;
     let k7 = KMeans::new(7)
         .with_runs(2)
-        .fit(d.points(), &mut rng)
+        .fit_block(d.points(), &mut rng)
         .unwrap()
         .cost;
     assert!(
@@ -136,6 +136,11 @@ fn query_schedules_cover_both_regimes_used_in_the_paper() {
     // Clustering cost of a fresh mixture is finite (sanity end-to-end hook
     // for the data crate's prelude).
     let data = GaussianMixture::new(3, 2).unwrap().generate(500, &mut rng);
-    let centers = KMeans::new(3).fit(data.points(), &mut rng).unwrap().centers;
-    assert!(kmeans_cost(data.points(), &centers).unwrap().is_finite());
+    let centers = KMeans::new(3)
+        .fit_block(data.points(), &mut rng)
+        .unwrap()
+        .centers;
+    assert!(kmeans_cost_block(data.points(), &centers)
+        .unwrap()
+        .is_finite());
 }

@@ -75,8 +75,9 @@ use std::time::{Duration, Instant};
 /// Current snapshot envelope version; bump when [`SnapshotFile`] or any
 /// serialized backend state changes shape incompatibly. Version 2 added the
 /// `published` field; version 3 added the `namespace` field (per-tenant
-/// snapshots and eviction files).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// snapshots and eviction files); version 4 stores coreset points as
+/// `{dim, coords, weights}` point blocks (they were `{dim, data, weights}`).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Default cap on resident (in-memory) tenants.
 pub const DEFAULT_MAX_RESIDENT: usize = 64;
@@ -698,15 +699,17 @@ impl Tenant {
     }
 
     /// Rebuilds a tenant from its log's checkpoint blob. A blob that does
-    /// not decode — a torn or foreign file, or a JSON checkpoint left by an
-    /// earlier build — is `wal_corrupt`, naming the tenant.
+    /// not restore — a torn or foreign file, a JSON checkpoint or an older
+    /// snapshot version left by an earlier build — is `wal_corrupt`, naming
+    /// the tenant.
     fn from_checkpoint(blob: &[u8], namespace: &str) -> Result<Self> {
-        let value = decode_state(blob).map_err(|e| ClusteringError::InvalidParameter {
+        let corrupt = |message: String| ClusteringError::InvalidParameter {
             name: "wal_corrupt",
-            message: format!("checkpoint for tenant `{namespace}`: {e}"),
-        })?;
-        let file = SnapshotFile::from_value(&value).map_err(|e| invalid_snapshot(e.to_string()))?;
-        Self::from_snapshot_file(file, Some(namespace))
+            message: format!("checkpoint for tenant `{namespace}`: {message}"),
+        };
+        let value = decode_state(blob).map_err(corrupt)?;
+        let file = SnapshotFile::from_value(&value).map_err(|e| corrupt(e.to_string()))?;
+        Self::from_snapshot_file(file, Some(namespace)).map_err(|e| corrupt(e.to_string()))
     }
 
     /// Validates an envelope and rebuilds its tenant. `expected_namespace`
@@ -2199,12 +2202,12 @@ mod tests {
         let engine = Engine::new(&spec(BackendKind::Cc)).unwrap();
         feed(&engine, 30, 0.0);
         let json = engine.snapshot_json().unwrap();
-        assert!(json.contains("\"snapshot_version\":3"));
+        assert!(json.contains("\"snapshot_version\":4"));
         assert!(json.contains("\"namespace\":\"default\""));
         assert!(json.contains("\"backend\":\"cc\""));
 
         assert!(Engine::from_snapshot_json("not json").is_err());
-        let wrong_version = json.replace("\"snapshot_version\":3", "\"snapshot_version\":99");
+        let wrong_version = json.replace("\"snapshot_version\":4", "\"snapshot_version\":99");
         assert!(Engine::from_snapshot_json(&wrong_version).is_err());
         let wrong_backend = json.replace("\"backend\":\"cc\"", "\"backend\":\"nope\"");
         assert!(Engine::from_snapshot_json(&wrong_backend).is_err());
@@ -2231,6 +2234,66 @@ mod tests {
         let zero_k = json.replace("\"k\":2", "\"k\":0");
         assert_ne!(zero_k, json, "fixture drifted: k not found");
         assert!(Engine::from_snapshot_json(&zero_k).is_err());
+
+        // A stored coreset one coordinate short, or with a `null` (NaN)
+        // coordinate, must be refused like a corrupt partial bucket: it
+        // would otherwise publish NaN or misaligned centers.
+        for kind in [
+            BackendKind::ShardedCc,
+            BackendKind::Cc,
+            BackendKind::Ct,
+            BackendKind::Rcc,
+        ] {
+            let engine = Engine::new(&spec(kind)).unwrap();
+            feed(&engine, 130, 0.0);
+            engine.query(Freshness::Strict).unwrap();
+            let json = engine.snapshot_json().unwrap();
+            assert!(Engine::from_snapshot_json(&json).is_ok(), "{kind:?}");
+            let short = tamper_first_coreset(&json, |coords| {
+                coords.pop();
+            });
+            assert!(Engine::from_snapshot_json(&short).is_err(), "{kind:?}");
+            let nan = tamper_first_coreset(&json, |coords| coords[0] = serde::Value::Null);
+            assert!(Engine::from_snapshot_json(&nan).is_err(), "{kind:?}");
+        }
+    }
+
+    /// Applies `edit` to the coordinate array of the first stored coreset in
+    /// a snapshot, found by structure rather than by key spelling: the first
+    /// map under a `points` key that holds `dim`, `weights` and one other,
+    /// array-valued entry.
+    fn tamper_first_coreset(json: &str, edit: impl Fn(&mut Vec<serde::Value>)) -> String {
+        fn coordinate_array(points: &mut serde::Value) -> Option<&mut Vec<serde::Value>> {
+            let serde::Value::Map(fields) = points else {
+                return None;
+            };
+            let has = |name: &str| fields.iter().any(|(k, _)| k == name);
+            if fields.len() != 3 || !has("dim") || !has("weights") {
+                return None;
+            }
+            fields.iter_mut().find_map(|(k, v)| match v {
+                serde::Value::Seq(coords) if k != "weights" => Some(coords),
+                _ => None,
+            })
+        }
+        fn first_coreset(value: &mut serde::Value) -> Option<&mut Vec<serde::Value>> {
+            match value {
+                serde::Value::Map(entries) => entries.iter_mut().find_map(|(key, child)| {
+                    if key == "points" {
+                        coordinate_array(child)
+                    } else {
+                        first_coreset(child)
+                    }
+                }),
+                serde::Value::Seq(items) => items.iter_mut().find_map(first_coreset),
+                _ => None,
+            }
+        }
+        let mut value: serde::Value = serde_json::from_str(json).unwrap();
+        let coords = first_coreset(&mut value).expect("fixture drifted: no stored coreset");
+        assert!(!coords.is_empty());
+        edit(coords);
+        serde_json::to_string(&value).unwrap()
     }
 
     #[test]
@@ -2513,6 +2576,48 @@ mod tests {
             recovered.checkpoint.map(|(_, b)| b),
             Some(json.into_bytes())
         );
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_of_an_older_snapshot_version_is_refused_by_name() {
+        let dir = temp_dir("wal-v3-ckpt");
+        std::fs::remove_dir_all(&dir).ok();
+        // A binary checkpoint whose envelope says version 3, the last
+        // version that spelled coreset points `data`.
+        let blob = {
+            let engine = Engine::new(&spec(BackendKind::Cc)).unwrap();
+            feed_in(&engine, "old", 30, 0.0);
+            let mut file: SnapshotFile =
+                serde_json::from_str(&engine.snapshot_json_in("old").unwrap()).unwrap();
+            file.snapshot_version = 3;
+            encode_state(&file.to_value())
+        };
+        let config = WalConfig::new(dir.clone());
+        let mut wal = Wal::open(config.tenant_dir("old"), config.options())
+            .unwrap()
+            .wal;
+        wal.checkpoint(&blob).unwrap();
+        drop(wal);
+
+        let err = Engine::new(&spec(BackendKind::Cc))
+            .unwrap()
+            .with_wal(config.clone())
+            .unwrap_err();
+        match &err {
+            ClusteringError::InvalidParameter {
+                name: "wal_corrupt",
+                message,
+            } => {
+                assert!(message.contains("tenant `old`"), "{message}");
+                assert!(message.contains("version 3"), "{message}");
+            }
+            other => panic!("expected wal_corrupt, got {other:?}"),
+        }
+        // Refused, not replaced: no fresh tenant overwrote the log.
+        let recovered = Wal::open(config.tenant_dir("old"), config.options()).unwrap();
+        assert_eq!(recovered.checkpoint.map(|(_, b)| b), Some(blob));
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -9,8 +9,8 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use skm_clustering::cost::kmeans_cost;
-use skm_clustering::PointSet;
+use skm_clustering::cost::kmeans_cost_block;
+use skm_clustering::PointBlock;
 use skm_serve::prelude::*;
 use skm_stream::{ShardedStream, StreamingClusterer};
 use std::sync::Arc;
@@ -45,12 +45,12 @@ fn dataset(n: usize, seed: u64) -> Vec<Vec<f64>> {
 }
 
 fn cost_on(points: &[Vec<f64>], centers: &[Vec<f64>]) -> f64 {
-    let mut set = PointSet::new(points[0].len());
+    let mut set = PointBlock::new(points[0].len());
     for p in points {
         set.push(p, 1.0);
     }
     let centers = skm_clustering::Centers::from_rows(points[0].len(), centers).unwrap();
-    kmeans_cost(&set, &centers).unwrap()
+    kmeans_cost_block(&set, &centers).unwrap()
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! ```
 
 use std::time::Instant;
-use streaming_kmeans::clustering::cost::kmeans_cost;
+use streaming_kmeans::clustering::cost::kmeans_cost_block;
 use streaming_kmeans::prelude::*;
 
 const QUERY_INTERVAL: usize = 500;
@@ -93,7 +93,7 @@ fn main() {
             }
         }
         let centers = algorithm.query().expect("final query");
-        let cost = kmeans_cost(dataset.points(), &centers).expect("cost");
+        let cost = kmeans_cost_block(dataset.points(), &centers).expect("cost");
         println!(
             "{:<18} {:>12.3} {:>12.3} {:>12.3} {:>14.4e} {:>10}",
             name,

@@ -14,7 +14,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
-use streaming_kmeans::clustering::cost::kmeans_cost;
+use streaming_kmeans::clustering::cost::kmeans_cost_block;
 use streaming_kmeans::data::uci_like::intrusion_like;
 use streaming_kmeans::prelude::*;
 
@@ -38,7 +38,7 @@ fn run(name: &str, clusterer: &mut dyn StreamingClusterer, dataset: &Dataset) {
         }
     }
     let centers = clusterer.query().expect("final query");
-    let cost = kmeans_cost(dataset.points(), &centers).expect("cost");
+    let cost = kmeans_cost_block(dataset.points(), &centers).expect("cost");
     println!(
         "{name:<12} update {update_time:>7.3}s   query {query_time:>7.3}s ({queries} queries)   \
          final cost {cost:.3e}   memory {} points",

@@ -7,7 +7,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use streaming_kmeans::clustering::cost::kmeans_cost;
+use streaming_kmeans::clustering::cost::kmeans_cost_block;
 use streaming_kmeans::prelude::*;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
         clusterer.update(point).expect("consistent dimensions");
         if (i + 1) % 2_000 == 0 {
             let centers = clusterer.query().expect("at least one point observed");
-            let cost = kmeans_cost(dataset.points(), &centers).expect("cost");
+            let cost = kmeans_cost_block(dataset.points(), &centers).expect("cost");
             println!(
                 "after {:>6} points: {} centers, cost on full data = {:.3e}, memory = {} points",
                 i + 1,

@@ -12,8 +12,8 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use streaming_kmeans::clustering::cost::kmeans_cost;
-use streaming_kmeans::clustering::PointSet;
+use streaming_kmeans::clustering::cost::kmeans_cost_block;
+use streaming_kmeans::clustering::PointBlock;
 use streaming_kmeans::data::RbfDriftGenerator;
 use streaming_kmeans::prelude::*;
 
@@ -45,7 +45,7 @@ fn main() {
 
     println!("window   OnlineCC cost (window)   CC cost (window)   OnlineCC fallbacks");
     let mut fallbacks_before = 0;
-    let mut window_points = PointSet::new(dataset.dim());
+    let mut window_points = PointBlock::new(dataset.dim());
     for (i, point) in dataset.stream().enumerate() {
         online.update(point).expect("update");
         cc.update(point).expect("update");
@@ -56,8 +56,8 @@ fn main() {
             let cc_centers = cc.query().expect("query");
             // Evaluate both on the *most recent window*, which is what a
             // drift-aware operator cares about.
-            let online_cost = kmeans_cost(&window_points, &online_centers).expect("cost");
-            let cc_cost = kmeans_cost(&window_points, &cc_centers).expect("cost");
+            let online_cost = kmeans_cost_block(&window_points, &online_centers).expect("cost");
+            let cc_cost = kmeans_cost_block(&window_points, &cc_centers).expect("cost");
             let new_fallbacks = online.fallback_count() - fallbacks_before;
             fallbacks_before = online.fallback_count();
             println!(

@@ -20,7 +20,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
-use streaming_kmeans::clustering::cost::kmeans_cost;
+use streaming_kmeans::clustering::cost::kmeans_cost_block;
 use streaming_kmeans::prelude::*;
 
 const K: usize = 6;
@@ -51,7 +51,8 @@ fn main() {
         cc.update(point).expect("update");
     }
     let baseline_secs = start.elapsed().as_secs_f64();
-    let baseline_cost = kmeans_cost(dataset.points(), &cc.query().expect("query")).expect("cost");
+    let baseline_cost =
+        kmeans_cost_block(dataset.points(), &cc.query().expect("query")).expect("cost");
     println!("   shards   ingest (s)   speedup   final cost (vs CC {baseline_cost:.3e})");
     println!("baseline   {baseline_secs:>10.3}      1.00x");
 
@@ -64,7 +65,7 @@ fn main() {
         sharded.drain().expect("drain");
         let secs = start.elapsed().as_secs_f64();
         let centers = sharded.query().expect("query");
-        let cost = kmeans_cost(dataset.points(), &centers).expect("cost");
+        let cost = kmeans_cost_block(dataset.points(), &centers).expect("cost");
         let stats = sharded.last_query_stats().expect("queried");
         println!(
             "{shards:>8}   {secs:>10.3}   {:>6.2}x   {cost:.3e}  ({} candidates from {} coresets)",

@@ -32,7 +32,7 @@
 //! // CC: coreset tree with caching, k = 3.
 //! let config = StreamConfig::new(3).with_bucket_size(60);
 //! let mut cc = CachedCoresetTree::new(config, 42).unwrap();
-//! for (point, _) in dataset.points().iter() {
+//! for point in dataset.stream() {
 //!     cc.update(point).unwrap();
 //! }
 //! let centers = cc.query().unwrap();

@@ -3,7 +3,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use streaming_kmeans::clustering::cost::kmeans_cost;
+use streaming_kmeans::clustering::cost::kmeans_cost_block;
 use streaming_kmeans::clustering::kmeans::KMeans;
 use streaming_kmeans::data::uci_like::intrusion_like;
 use streaming_kmeans::prelude::*;
@@ -50,7 +50,7 @@ fn streaming_algorithms_match_batch_accuracy_on_mixture() {
     let mut rng = ChaCha8Rng::seed_from_u64(99);
     let batch = KMeans::new(K)
         .with_runs(3)
-        .fit(dataset.points(), &mut rng)
+        .fit_block(dataset.points(), &mut rng)
         .expect("batch fit");
     let batch_cost = batch.cost;
 
@@ -67,7 +67,7 @@ fn streaming_algorithms_match_batch_accuracy_on_mixture() {
     ];
     for (name, algorithm) in algorithms {
         let centers = stream_through(algorithm, &dataset, 500);
-        let cost = kmeans_cost(dataset.points(), &centers).expect("cost");
+        let cost = kmeans_cost_block(dataset.points(), &centers).expect("cost");
         assert!(
             cost <= 2.5 * batch_cost + 1e-9,
             "{name}: streaming cost {cost:.4e} vs batch {batch_cost:.4e}"
@@ -92,8 +92,8 @@ fn sequential_is_much_worse_on_skewed_intrusion_data() {
     let seq_centers = stream_through(&mut sequential, &dataset, 0);
     let cc_centers = stream_through(&mut cc, &dataset, 0);
 
-    let seq_cost = kmeans_cost(dataset.points(), &seq_centers).unwrap();
-    let cc_cost = kmeans_cost(dataset.points(), &cc_centers).unwrap();
+    let seq_cost = kmeans_cost_block(dataset.points(), &seq_centers).unwrap();
+    let cc_cost = kmeans_cost_block(dataset.points(), &cc_centers).unwrap();
     assert!(
         seq_cost > 3.0 * cc_cost,
         "expected Sequential ({seq_cost:.3e}) to be far worse than CC ({cc_cost:.3e})"
@@ -233,9 +233,10 @@ fn sharded_cost_stays_within_envelope_of_single_shard_on_gaussian_drift() {
         single.update(p).expect("update");
         sharded.update(p).expect("update");
     }
-    let single_cost = kmeans_cost(dataset.points(), &single.query().expect("query")).expect("cost");
+    let single_cost =
+        kmeans_cost_block(dataset.points(), &single.query().expect("query")).expect("cost");
     let sharded_cost =
-        kmeans_cost(dataset.points(), &sharded.query().expect("query")).expect("cost");
+        kmeans_cost_block(dataset.points(), &sharded.query().expect("query")).expect("cost");
     assert!(
         sharded_cost <= 2.5 * single_cost + 1e-9,
         "4-shard cost {sharded_cost:.4e} outside the envelope of 1-shard cost {single_cost:.4e}"

@@ -216,13 +216,13 @@ fn merge_degree_changes_tree_shape_not_correctness() {
             .with_kmeans_runs(2)
             .with_lloyd_iterations(3);
         let mut cc = CachedCoresetTree::new(config, 31).unwrap();
-        let mut all = streaming_kmeans::clustering::PointSet::new(3);
+        let mut all = streaming_kmeans::clustering::PointBlock::new(3);
         for p in &stream {
             cc.update(p).unwrap();
             all.push(p, 1.0);
         }
         let centers = cc.query().unwrap();
-        let cost = streaming_kmeans::clustering::cost::kmeans_cost(&all, &centers).unwrap();
+        let cost = streaming_kmeans::clustering::cost::kmeans_cost_block(&all, &centers).unwrap();
         costs.push(cost);
     }
     let max = costs.iter().copied().fold(f64::MIN, f64::max);

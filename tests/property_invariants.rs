@@ -8,9 +8,9 @@
 
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use streaming_kmeans::clustering::cost::kmeans_cost;
-use streaming_kmeans::clustering::kmeanspp::kmeanspp;
-use streaming_kmeans::clustering::{Centers, PointBlock, PointSet};
+use streaming_kmeans::clustering::cost::kmeans_cost_block;
+use streaming_kmeans::clustering::kmeanspp::kmeanspp_block;
+use streaming_kmeans::clustering::{Centers, PointBlock};
 use streaming_kmeans::coreset::construct::{CoresetBuilder, CoresetMethod};
 use streaming_kmeans::coreset::Span;
 use streaming_kmeans::prelude::*;
@@ -19,10 +19,10 @@ use streaming_kmeans::stream::numeric::{ceil_log, major, minor, nonzero_digits, 
 const CASES: usize = 64;
 
 /// Generates a small weighted point set in 1–4 dimensions (unit weights).
-fn random_point_set(rng: &mut ChaCha8Rng) -> PointSet {
+fn random_point_set(rng: &mut ChaCha8Rng) -> PointBlock {
     let dim = rng.gen_range(1..=4usize);
     let n = rng.gen_range(1..=120usize);
-    let mut set = PointSet::new(dim);
+    let mut set = PointBlock::new(dim);
     let mut row = vec![0.0f64; dim];
     for _ in 0..n {
         for x in row.iter_mut() {
@@ -128,9 +128,9 @@ fn kmeans_cost_is_zero_iff_centers_cover_points() {
     for _ in 0..CASES {
         let points = random_point_set(&mut rng);
         // Centers equal to every distinct point => cost 0.
-        let rows: Vec<Vec<f64>> = points.iter().map(|(p, _)| p.to_vec()).collect();
+        let rows: Vec<Vec<f64>> = points.iter().map(|(p, _, _)| p.to_vec()).collect();
         let centers = Centers::from_rows(points.dim(), &rows).unwrap();
-        let cost = kmeans_cost(&points, &centers).unwrap();
+        let cost = kmeans_cost_block(&points, &centers).unwrap();
         assert!(cost.abs() < 1e-9, "cost={cost}");
     }
 }
@@ -143,10 +143,10 @@ fn kmeanspp_returns_requested_centers_and_finite_cost() {
         let k = rng.gen_range(1..8usize);
         let seed = rng.gen_range(0..1_000u64);
         let mut seeding_rng = ChaCha8Rng::seed_from_u64(seed);
-        let centers = kmeanspp(&points, k, &mut seeding_rng).unwrap();
+        let centers = kmeanspp_block(&points, k, &mut seeding_rng).unwrap();
         assert_eq!(centers.len(), k.min(points.len()));
         assert_eq!(centers.dim(), points.dim());
-        let cost = kmeans_cost(&points, &centers).unwrap();
+        let cost = kmeans_cost_block(&points, &centers).unwrap();
         assert!(cost.is_finite());
         assert!(cost >= 0.0);
     }
@@ -159,11 +159,11 @@ fn adding_a_center_never_increases_cost() {
         let points = random_point_set(&mut rng);
         let seed = rng.gen_range(0..1_000u64);
         let mut seeding_rng = ChaCha8Rng::seed_from_u64(seed);
-        let two = kmeanspp(&points, 2, &mut seeding_rng).unwrap();
+        let two = kmeanspp_block(&points, 2, &mut seeding_rng).unwrap();
         if two.len() == 2 {
             let one = Centers::from_rows(points.dim(), &[two.center(0).to_vec()]).unwrap();
-            let cost_one = kmeans_cost(&points, &one).unwrap();
-            let cost_two = kmeans_cost(&points, &two).unwrap();
+            let cost_one = kmeans_cost_block(&points, &one).unwrap();
+            let cost_two = kmeans_cost_block(&points, &two).unwrap();
             assert!(cost_two <= cost_one + 1e-9, "{cost_two} > {cost_one}");
         }
     }
@@ -173,10 +173,10 @@ fn adding_a_center_never_increases_cost() {
 
 /// Generates a point set with random (positive, finite) weights in 1–9
 /// dimensions, exercising every tail length of the 4-lane dot kernel.
-fn random_weighted_point_set(rng: &mut ChaCha8Rng) -> PointSet {
+fn random_weighted_point_set(rng: &mut ChaCha8Rng) -> PointBlock {
     let dim = rng.gen_range(1..=9usize);
     let n = rng.gen_range(1..=100usize);
-    let mut set = PointSet::new(dim);
+    let mut set = PointBlock::new(dim);
     let mut row = vec![0.0f64; dim];
     for _ in 0..n {
         for x in row.iter_mut() {
@@ -200,25 +200,24 @@ fn fused_kernel_matches_legacy_per_point_path() {
     use streaming_kmeans::clustering::distance::{sq_dist_block, squared_distance, squared_norm};
     let mut rng = ChaCha8Rng::seed_from_u64(301);
     for _ in 0..CASES {
-        let points = random_weighted_point_set(&mut rng);
-        let block = PointBlock::from_point_set(&points);
+        let block = random_weighted_point_set(&mut rng);
         // Pit every pair (i, j) of a small prefix against each other.
-        let limit = points.len().min(12);
+        let limit = block.len().min(12);
         for i in 0..limit {
             for j in 0..limit {
-                let (x, c) = (points.point(i), points.point(j));
+                let (x, c) = (block.point(i), block.point(j));
                 let legacy = squared_distance(x, c);
                 let fused = sq_dist_block(x, block.norm(i), c, block.norm(j));
                 assert!(
                     (legacy - fused).abs() <= fused_tolerance(legacy, block.norm(i), block.norm(j)),
                     "dim={} i={i} j={j}: legacy={legacy} fused={fused}",
-                    points.dim()
+                    block.dim()
                 );
             }
         }
         // The cached norms themselves must match a direct evaluation.
-        for i in 0..points.len() {
-            let direct = squared_norm(points.point(i));
+        for i in 0..block.len() {
+            let direct = squared_norm(block.point(i));
             assert!((block.norm(i) - direct).abs() <= 1e-12 * (1.0 + direct));
         }
     }
@@ -236,7 +235,7 @@ fn fused_nearest_search_matches_legacy_distances() {
         let rows: Vec<Vec<f64>> = (0..k).map(|i| points.point(i).to_vec()).collect();
         let centers = Centers::from_rows(points.dim(), &rows).unwrap();
         let center_norms = squared_norms(centers.coords(), centers.dim());
-        for (p, _) in points.iter() {
+        for (p, _, _) in points.iter() {
             let legacy = nearest_center(p, &centers).unwrap();
             let fused = nearest_block_row(
                 p,
@@ -260,53 +259,30 @@ fn fused_nearest_search_matches_legacy_distances() {
 
 #[test]
 fn block_cost_path_matches_legacy_cost_loop() {
-    use streaming_kmeans::clustering::cost::kmeans_cost_block;
     use streaming_kmeans::clustering::distance::squared_distance;
     let mut rng = ChaCha8Rng::seed_from_u64(303);
     for _ in 0..CASES {
-        let points = random_weighted_point_set(&mut rng);
-        let block = PointBlock::from_point_set(&points);
-        let k = rng.gen_range(1..=5usize).min(points.len());
-        let rows: Vec<Vec<f64>> = (0..k).map(|i| points.point(i).to_vec()).collect();
-        let centers = Centers::from_rows(points.dim(), &rows).unwrap();
+        let block = random_weighted_point_set(&mut rng);
+        let k = rng.gen_range(1..=5usize).min(block.len());
+        let rows: Vec<Vec<f64>> = (0..k).map(|i| block.point(i).to_vec()).collect();
+        let centers = Centers::from_rows(block.dim(), &rows).unwrap();
         // Hand-rolled legacy cost: Σ w(x) · min_c Σ_j (x_j − c_j)².
         let mut legacy = 0.0;
         let mut scale = 0.0;
-        for (i, (p, w)) in points.iter().enumerate() {
+        for (p, w, norm) in block.iter() {
             let d2 = centers
                 .iter()
                 .map(|c| squared_distance(p, c))
                 .fold(f64::INFINITY, f64::min);
             legacy += w * d2;
-            scale += w * block.norm(i);
+            scale += w * norm;
         }
-        let via_set = kmeans_cost(&points, &centers).unwrap();
         let via_block = kmeans_cost_block(&block, &centers).unwrap();
         let tol = 1e-9 * (1.0 + legacy + scale);
-        assert!(
-            (legacy - via_set).abs() <= tol,
-            "legacy={legacy} fused={via_set}"
-        );
         assert!(
             (legacy - via_block).abs() <= tol,
             "legacy={legacy} fused-block={via_block}"
         );
-    }
-}
-
-#[test]
-fn point_block_round_trips_preserve_points_and_weights() {
-    let mut rng = ChaCha8Rng::seed_from_u64(304);
-    for _ in 0..CASES {
-        let points = random_weighted_point_set(&mut rng);
-        let block = PointBlock::from_point_set(&points);
-        assert_eq!(block.len(), points.len());
-        assert_eq!(block.dim(), points.dim());
-        let back = block.clone().into_point_set();
-        assert_eq!(back, points);
-        let copied = block.to_point_set();
-        assert_eq!(copied, points);
-        assert!((block.total_weight() - points.total_weight()).abs() < 1e-9);
     }
 }
 
@@ -394,7 +370,7 @@ fn coreset_preserves_total_weight_and_caps_size() {
         let builder = CoresetBuilder::new(3).with_size(size).with_method(method);
         let mut build_rng = ChaCha8Rng::seed_from_u64(seed);
         let coreset = builder
-            .build(&points, Span::single(1), 1, &mut build_rng)
+            .build_block(&points, Span::single(1), 1, &mut build_rng)
             .unwrap();
         assert!(coreset.len() <= size);
         assert!(coreset.len() <= points.len());
@@ -475,6 +451,89 @@ fn coreset_tree_weight_equals_points_seen() {
         );
         assert!(ct.tree().digit_invariant_holds());
     }
+}
+
+/// Every stored coreset carries the norm cache of its own coordinates, bit
+/// for bit: in the tree and the cache after updates and strict queries, and
+/// again after a JSON and a binary state round trip of the clusterer.
+#[test]
+fn stored_coresets_carry_the_norms_of_their_points() {
+    use serde::{Deserialize, Serialize};
+    use streaming_kmeans::clustering::distance::squared_norms;
+    use streaming_kmeans::coreset::Coreset;
+    use streaming_kmeans::serve::codec::{decode_state, encode_state};
+
+    fn check<'a>(coresets: impl IntoIterator<Item = &'a Coreset>, at: &str) -> usize {
+        let mut checked = 0;
+        for c in coresets {
+            let p = c.points();
+            let expected = squared_norms(p.coords(), p.dim());
+            assert_eq!(bits(p.norms()), bits(&expected), "{at}: {:?}", c.span());
+            checked += 1;
+        }
+        checked
+    }
+    fn cached(cc: &CachedCoresetTree) -> Vec<&Coreset> {
+        let cache = cc.cache();
+        cache
+            .keys()
+            .into_iter()
+            .filter_map(|k| cache.lookup(k))
+            .collect()
+    }
+    fn round_trips<T: Serialize + Deserialize>(state: &T) -> [T; 2] {
+        let json = serde_json::to_string(state).unwrap();
+        let blob = encode_state(&state.to_value());
+        [
+            serde_json::from_str(&json).unwrap(),
+            T::from_value(&decode_state(&blob).unwrap()).unwrap(),
+        ]
+    }
+
+    let mut rng = ChaCha8Rng::seed_from_u64(112);
+    let mut checked = 0;
+    for case in 0..CASES {
+        let dim = rng.gen_range(1..=9usize);
+        let config = StreamConfig::new(rng.gen_range(1..=4usize))
+            .with_bucket_size(rng.gen_range(4..=30usize))
+            .with_merge_degree(rng.gen_range(2..=4u64))
+            .with_kmeans_runs(1)
+            .with_lloyd_iterations(1);
+        let seed = rng.gen_range(0..500u64);
+        let mut ct = CoresetTreeClusterer::new(config, seed).unwrap();
+        let mut cc = CachedCoresetTree::new(config, seed).unwrap();
+        let scale = 10f64.powi(rng.gen_range(-3..=6i32));
+        let mut row = vec![0.0f64; dim];
+        for _ in 0..rng.gen_range(1..400usize) {
+            for x in row.iter_mut() {
+                *x = rng.gen_range(-1.0..1.0f64) * scale;
+            }
+            ct.update(&row).unwrap();
+            cc.update(&row).unwrap();
+            if rng.gen_bool(0.05) {
+                ct.query().unwrap();
+                cc.query().unwrap();
+            }
+        }
+        let at = format!("case {case}");
+        checked += check(ct.tree().active_coresets(), &at);
+        checked += check(cc.tree().active_coresets(), &at);
+        checked += check(cached(&cc), &at);
+        for restored in round_trips(&ct) {
+            check(
+                restored.tree().active_coresets(),
+                &format!("{at}, restored CT"),
+            );
+        }
+        for restored in round_trips(&cc) {
+            check(
+                restored.tree().active_coresets(),
+                &format!("{at}, restored CC"),
+            );
+            check(cached(&restored), &format!("{at}, restored CC cache"));
+        }
+    }
+    assert!(checked > 0, "no stored coreset was checked");
 }
 
 // --- robustness: non-finite input and batch-update equivalence -----------
