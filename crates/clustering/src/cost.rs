@@ -176,4 +176,14 @@ mod tests {
         let centers = Centers::from_rows(2, &[vec![0.0, 0.0]]).unwrap();
         assert_eq!(kmeans_cost_block(&block, &centers).unwrap(), 0.0);
     }
+
+    #[test]
+    fn empty_points_have_zero_cost() {
+        let points = PointBlock::new(3);
+        let centers = Centers::from_rows(3, &[vec![0.0, 0.0, 0.0], vec![1.0, 2.0, 3.0]]).unwrap();
+        let a = assign_block(&points, &centers).unwrap();
+        assert!(a.labels.is_empty());
+        assert_eq!(a.cost, 0.0);
+        assert_eq!(a.cluster_weights, vec![0.0, 0.0]);
+    }
 }

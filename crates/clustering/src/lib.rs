@@ -56,6 +56,8 @@ pub mod kmeans;
 pub mod kmeanspp;
 pub mod kmedian;
 pub mod lloyd;
+#[cfg(test)]
+mod point;
 pub mod sampling;
 
 pub use block::PointBlock;

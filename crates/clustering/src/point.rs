@@ -1,344 +1,15 @@
-//! Weighted point sets with flat (cache friendly) storage.
-//!
-//! The paper's Problem 1 (k-means clustering) is defined over a *weighted*
-//! point set `P ⊆ R^d` with weight function `w : P → Z+`. Coresets are also
-//! weighted point sets, so a single container serves both roles. We allow
-//! real-valued weights because merged coresets carry fractional weights in
-//! some constructions.
-
-use crate::error::{ClusteringError, Result};
-use serde::{Deserialize, Serialize};
-
-/// A weighted set of points in `R^d`, stored as one flat `Vec<f64>` of
-/// length `n * d` plus a weight vector of length `n`.
-///
-/// Flat storage keeps points contiguous in memory, which matters for the
-/// distance kernels that dominate the running time of every algorithm in the
-/// paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PointSet {
-    dim: usize,
-    data: Vec<f64>,
-    weights: Vec<f64>,
-}
-
-impl PointSet {
-    /// Creates an empty point set of dimension `dim`.
-    ///
-    /// # Panics
-    /// Panics if `dim == 0`.
-    #[must_use]
-    pub fn new(dim: usize) -> Self {
-        assert!(dim > 0, "point dimension must be positive");
-        Self {
-            dim,
-            data: Vec::new(),
-            weights: Vec::new(),
-        }
-    }
-
-    /// Creates an empty point set of dimension `dim` with capacity for
-    /// `capacity` points.
-    #[must_use]
-    pub fn with_capacity(dim: usize, capacity: usize) -> Self {
-        assert!(dim > 0, "point dimension must be positive");
-        Self {
-            dim,
-            data: Vec::with_capacity(capacity * dim),
-            weights: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Builds a point set from row-major coordinates and per-point weights.
-    ///
-    /// # Errors
-    /// Returns an error if `coords.len()` is not a multiple of `dim` or the
-    /// number of weights does not match the number of points.
-    pub fn from_rows(dim: usize, coords: Vec<f64>, weights: Vec<f64>) -> Result<Self> {
-        if dim == 0 {
-            return Err(ClusteringError::InvalidParameter {
-                name: "dim",
-                message: "dimension must be positive".to_string(),
-            });
-        }
-        if !coords.len().is_multiple_of(dim) {
-            return Err(ClusteringError::DimensionMismatch {
-                expected: dim,
-                got: coords.len() % dim,
-            });
-        }
-        let n = coords.len() / dim;
-        if weights.len() != n {
-            return Err(ClusteringError::InvalidParameter {
-                name: "weights",
-                message: format!("expected {n} weights, got {}", weights.len()),
-            });
-        }
-        for (i, w) in weights.iter().enumerate() {
-            if !w.is_finite() || *w < 0.0 {
-                return Err(ClusteringError::InvalidWeight { index: i });
-            }
-        }
-        Ok(Self {
-            dim,
-            data: coords,
-            weights,
-        })
-    }
-
-    /// Builds a unit-weight point set from a slice of points.
-    ///
-    /// # Errors
-    /// Returns an error if any point has the wrong dimension.
-    pub fn from_points(dim: usize, points: &[Vec<f64>]) -> Result<Self> {
-        let mut set = Self::with_capacity(dim, points.len());
-        for p in points {
-            set.try_push(p, 1.0)?;
-        }
-        Ok(set)
-    }
-
-    /// Dimension `d` of the points.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of (weighted) points stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Returns `true` when the set contains no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
-    /// Appends a point with the given weight.
-    ///
-    /// # Panics
-    /// Panics if the point's dimension differs from the set's dimension.
-    pub fn push(&mut self, point: &[f64], weight: f64) {
-        self.try_push(point, weight)
-            .expect("point dimension or weight invalid");
-    }
-
-    /// Appends a point with the given weight, reporting failures as errors.
-    ///
-    /// # Errors
-    /// Returns an error if the dimension does not match or the weight is
-    /// negative / non-finite.
-    pub fn try_push(&mut self, point: &[f64], weight: f64) -> Result<()> {
-        if point.len() != self.dim {
-            return Err(ClusteringError::DimensionMismatch {
-                expected: self.dim,
-                got: point.len(),
-            });
-        }
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(ClusteringError::InvalidWeight { index: self.len() });
-        }
-        self.data.extend_from_slice(point);
-        self.weights.push(weight);
-        Ok(())
-    }
-
-    /// Returns the coordinates of point `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    #[inline]
-    pub fn point(&self, i: usize) -> &[f64] {
-        &self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// Returns the weight of point `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    #[inline]
-    pub fn weight(&self, i: usize) -> f64 {
-        self.weights[i]
-    }
-
-    /// Mutable access to the weight of point `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    pub fn weight_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.weights[i]
-    }
-
-    /// Sum of all weights (`Σ w(x)`).
-    #[must_use]
-    pub fn total_weight(&self) -> f64 {
-        self.weights.iter().sum()
-    }
-
-    /// Iterator over `(coordinates, weight)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&[f64], f64)> + '_ {
-        self.data
-            .chunks_exact(self.dim)
-            .zip(self.weights.iter().copied())
-    }
-
-    /// Raw row-major coordinate storage.
-    #[must_use]
-    pub fn coords(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Raw weight storage.
-    #[must_use]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Appends all points of `other` (dimension must match).
-    ///
-    /// This is the multiset union used by Observation 1 of the paper: the
-    /// union of coresets of disjoint point sets.
-    ///
-    /// # Errors
-    /// Returns an error if dimensions differ.
-    pub fn extend_from(&mut self, other: &PointSet) -> Result<()> {
-        if other.dim != self.dim {
-            return Err(ClusteringError::DimensionMismatch {
-                expected: self.dim,
-                got: other.dim,
-            });
-        }
-        self.data.extend_from_slice(&other.data);
-        self.weights.extend_from_slice(&other.weights);
-        Ok(())
-    }
-
-    /// Appends points given as raw parallel slices. The caller guarantees
-    /// `coords.len() == weights.len() * self.dim` and valid weights; the
-    /// block type upholds this by construction.
-    pub(crate) fn extend_from_raw(&mut self, coords: &[f64], weights: &[f64]) {
-        debug_assert_eq!(coords.len(), weights.len() * self.dim);
-        self.data.extend_from_slice(coords);
-        self.weights.extend_from_slice(weights);
-    }
-
-    /// Decomposes into `(dim, coords, weights)`, transferring the buffers
-    /// without copying (used by the block type for owned conversions).
-    pub(crate) fn into_raw(self) -> (usize, Vec<f64>, Vec<f64>) {
-        (self.dim, self.data, self.weights)
-    }
-
-    /// Removes all points while keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.clear();
-        self.weights.clear();
-    }
-
-    /// Weighted centroid of the whole set, or `None` if the set is empty or
-    /// has zero total weight.
-    #[must_use]
-    pub fn centroid(&self) -> Option<Vec<f64>> {
-        let total = self.total_weight();
-        if self.is_empty() || total <= 0.0 {
-            return None;
-        }
-        let mut c = vec![0.0; self.dim];
-        for (p, w) in self.iter() {
-            for (ci, xi) in c.iter_mut().zip(p) {
-                *ci += w * xi;
-            }
-        }
-        for ci in &mut c {
-            *ci /= total;
-        }
-        Some(c)
-    }
-
-    /// Axis-aligned bounding box `(min, max)` of the points, ignoring
-    /// weights. Returns `None` for an empty set.
-    #[must_use]
-    pub fn bounding_box(&self) -> Option<(Vec<f64>, Vec<f64>)> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut lo = self.point(0).to_vec();
-        let mut hi = lo.clone();
-        for (p, _) in self.iter().skip(1) {
-            for j in 0..self.dim {
-                if p[j] < lo[j] {
-                    lo[j] = p[j];
-                }
-                if p[j] > hi[j] {
-                    hi[j] = p[j];
-                }
-            }
-        }
-        Some((lo, hi))
-    }
-
-    /// Number of bytes needed to store the coordinates of this set assuming
-    /// 8 bytes per dimension per point — the accounting the paper uses for
-    /// its memory figures (Table 4).
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
-        self.len() * self.dim * std::mem::size_of::<f64>()
-    }
-
-    /// Splits the set into consecutive chunks of at most `chunk` points,
-    /// preserving order. Used by tests and by the batch baseline.
-    #[must_use]
-    pub fn chunks(&self, chunk: usize) -> Vec<PointSet> {
-        assert!(chunk > 0, "chunk size must be positive");
-        let mut out = Vec::new();
-        let mut current = PointSet::with_capacity(self.dim, chunk.min(self.len()));
-        for (p, w) in self.iter() {
-            current.push(p, w);
-            if current.len() == chunk {
-                out.push(std::mem::replace(
-                    &mut current,
-                    PointSet::with_capacity(self.dim, chunk),
-                ));
-            }
-        }
-        if !current.is_empty() {
-            out.push(current);
-        }
-        out
-    }
-
-    /// Returns a copy containing only the points at the given indices.
-    ///
-    /// # Panics
-    /// Panics if any index is out of bounds.
-    #[must_use]
-    pub fn select(&self, indices: &[usize]) -> PointSet {
-        let mut out = PointSet::with_capacity(self.dim, indices.len());
-        for &i in indices {
-            out.push(self.point(i), self.weight(i));
-        }
-        out
-    }
-}
-
-impl<'a> IntoIterator for &'a PointSet {
-    type Item = (&'a [f64], f64);
-    type IntoIter = Box<dyn Iterator<Item = (&'a [f64], f64)> + 'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
-    }
-}
+//! Tests of the weighted-point-set contract of [`PointBlock`] as its
+//! callers use it: indexed access, validation of pushed points, multiset
+//! union and clearing. The norm cache and serde checks live with the type
+//! in [`crate::block`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::block::PointBlock;
+    use crate::error::ClusteringError;
 
-    fn sample_set() -> PointSet {
-        let mut s = PointSet::new(2);
+    fn sample_set() -> PointBlock {
+        let mut s = PointBlock::new(2);
         s.push(&[0.0, 0.0], 1.0);
         s.push(&[2.0, 0.0], 1.0);
         s.push(&[0.0, 2.0], 2.0);
@@ -357,7 +28,7 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_is_an_error() {
-        let mut s = PointSet::new(2);
+        let mut s = PointBlock::new(2);
         let err = s.try_push(&[1.0, 2.0, 3.0], 1.0).unwrap_err();
         assert_eq!(
             err,
@@ -366,105 +37,50 @@ mod tests {
                 got: 3
             }
         );
+        assert!(s.is_empty());
     }
 
     #[test]
     fn negative_weight_is_an_error() {
-        let mut s = PointSet::new(2);
+        let mut s = PointBlock::new(2);
         let err = s.try_push(&[1.0, 2.0], -1.0).unwrap_err();
         assert_eq!(err, ClusteringError::InvalidWeight { index: 0 });
+        assert!(s.is_empty());
     }
 
     #[test]
     fn nan_weight_is_an_error() {
-        let mut s = PointSet::new(1);
-        assert!(s.try_push(&[1.0], f64::NAN).is_err());
-    }
-
-    #[test]
-    fn from_rows_checks_shapes() {
-        assert!(PointSet::from_rows(2, vec![1.0, 2.0, 3.0], vec![1.0]).is_err());
-        assert!(PointSet::from_rows(2, vec![1.0, 2.0], vec![1.0, 1.0]).is_err());
-        let s = PointSet::from_rows(2, vec![1.0, 2.0, 3.0, 4.0], vec![1.0, 0.5]).unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.point(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn from_points_builds_unit_weights() {
-        let s = PointSet::from_points(3, &[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.weight(0), 1.0);
-        assert_eq!(s.weight(1), 1.0);
-    }
-
-    #[test]
-    fn centroid_is_weighted() {
-        let s = sample_set();
-        // centroid = (1*[0,0] + 1*[2,0] + 2*[0,2]) / 4 = [0.5, 1.0]
-        let c = s.centroid().unwrap();
-        assert!((c[0] - 0.5).abs() < 1e-12);
-        assert!((c[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn centroid_of_empty_set_is_none() {
-        let s = PointSet::new(4);
-        assert!(s.centroid().is_none());
+        let mut s = PointBlock::new(1);
+        s.push(&[0.0], 1.0);
+        let err = s.try_push(&[1.0], f64::NAN).unwrap_err();
+        assert_eq!(err, ClusteringError::InvalidWeight { index: 1 });
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn extend_from_unions_multisets() {
         let mut a = sample_set();
         let b = sample_set();
-        a.extend_from(&b).unwrap();
+        a.extend_from_block(&b).unwrap();
         assert_eq!(a.len(), 6);
         assert!((a.total_weight() - 8.0).abs() < 1e-12);
+        assert_eq!(a.point(5), b.point(2));
+        assert_eq!(a.weight(5), b.weight(2));
     }
 
     #[test]
     fn extend_from_rejects_dim_mismatch() {
-        let mut a = PointSet::new(2);
-        let b = PointSet::new(3);
-        assert!(a.extend_from(&b).is_err());
-    }
-
-    #[test]
-    fn bounding_box_covers_all_points() {
-        let s = sample_set();
-        let (lo, hi) = s.bounding_box().unwrap();
-        assert_eq!(lo, vec![0.0, 0.0]);
-        assert_eq!(hi, vec![2.0, 2.0]);
-    }
-
-    #[test]
-    fn chunks_preserve_order_and_weights() {
-        let mut s = PointSet::new(1);
-        for i in 0..10 {
-            s.push(&[f64::from(i)], f64::from(i) + 1.0);
-        }
-        let chunks = s.chunks(4);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].len(), 4);
-        assert_eq!(chunks[2].len(), 2);
-        assert_eq!(chunks[2].point(1), &[9.0]);
-        assert_eq!(chunks[2].weight(1), 10.0);
-    }
-
-    #[test]
-    fn select_picks_indices() {
-        let s = sample_set();
-        let sub = s.select(&[2, 0]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.point(0), &[0.0, 2.0]);
-        assert_eq!(sub.weight(0), 2.0);
-        assert_eq!(sub.point(1), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn memory_bytes_counts_coordinates() {
-        let s = sample_set();
-        assert_eq!(s.memory_bytes(), 3 * 2 * 8);
+        let mut a = sample_set();
+        let mut b = PointBlock::new(3);
+        b.push(&[1.0, 2.0, 3.0], 1.0);
+        assert_eq!(
+            a.extend_from_block(&b).unwrap_err(),
+            ClusteringError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            }
+        );
+        assert_eq!(a, sample_set());
     }
 
     #[test]
@@ -473,5 +89,6 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.dim(), 2);
+        assert_eq!(s.total_weight(), 0.0);
     }
 }

@@ -166,6 +166,28 @@ mod tests {
     }
 
     #[test]
+    fn union_points_concatenates() {
+        let a = bucket(0.0, 5, 1);
+        let b = bucket(1.0, 7, 2);
+        let u = union_blocks(&[a.points().clone(), b.points().clone()]).unwrap();
+        assert_eq!(u.len(), 12);
+        assert!((u.total_weight() - 12.0).abs() < 1e-12);
+        assert_eq!(u.point(0), a.points().point(0));
+        assert_eq!(u.point(5), b.points().point(0));
+        assert_eq!(u.point(11), b.points().point(6));
+    }
+
+    #[test]
+    fn union_points_empty_is_error() {
+        assert_eq!(union_blocks(&[]).unwrap_err(), ClusteringError::EmptyInput);
+        let empty = Coreset::base_bucket(PointBlock::new(1), 1);
+        assert_eq!(
+            union_blocks(&[empty.points().clone()]).unwrap_err(),
+            ClusteringError::EmptyInput
+        );
+    }
+
+    #[test]
     fn union_blocks_concatenates_and_reuses_norms() {
         let a = bucket(3.0, 4, 1).into_points();
         let b = bucket(5.0, 2, 2).into_points();
