@@ -103,7 +103,7 @@ fn run_cell(
     for chunk in rows.chunks(batch) {
         let start = Instant::now();
         if batch == 1 {
-            engine.ingest(&chunk[0])?;
+            engine.ingest_in(DEFAULT_NAMESPACE, &chunk[0])?;
         } else {
             engine.ingest_batch_in(DEFAULT_NAMESPACE, chunk)?;
         }

@@ -75,6 +75,11 @@ impl CoresetCache {
         keys
     }
 
+    /// The cached coresets, in no particular order.
+    pub fn coresets(&self) -> impl Iterator<Item = &Coreset> {
+        self.entries.values()
+    }
+
     /// Total number of (weighted) points stored in the cache.
     #[must_use]
     pub fn stored_points(&self) -> usize {

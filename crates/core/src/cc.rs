@@ -16,7 +16,9 @@ use crate::cache::CoresetCache;
 use crate::clusterer::{QueryStats, StreamingClusterer};
 use crate::config::StreamConfig;
 use crate::coreset_tree::CoresetTree;
-use crate::driver::{extract_centers_block, extract_clustering_result, BucketBuffer};
+use crate::driver::{
+    check_stored_dims, extract_centers_block, extract_clustering_result, BucketBuffer,
+};
 use crate::numeric::{major, minor_term};
 use crate::publish::ClusteringResult;
 use rand::SeedableRng;
@@ -316,6 +318,16 @@ impl StreamingClusterer for CachedCoresetTree {
 
     fn last_query_stats(&self) -> Option<QueryStats> {
         self.last_stats
+    }
+
+    fn check_restored(&self) -> Result<()> {
+        check_stored_dims(
+            self.buffer.dim(),
+            self.tree
+                .active_coresets()
+                .into_iter()
+                .chain(self.cache.coresets()),
+        )
     }
 }
 

@@ -163,6 +163,19 @@ pub trait StreamingClusterer {
     fn last_query_stats(&self) -> Option<QueryStats> {
         None
     }
+
+    /// Checks a restored state against its own stream before it serves:
+    /// every stored block has the stream's dimension, and a stream with no
+    /// dimension yet stores no block. Restore paths run this after
+    /// deserializing. The default accepts any state; the clusterers the
+    /// serving layer restores (CT, CC, RCC) override it.
+    ///
+    /// # Errors
+    /// `InvalidParameter { name: "snapshot" }` for the first stored block
+    /// whose dimension disagrees.
+    fn check_restored(&self) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// Rejects a zero-length window before it can reach any summary-selection

@@ -10,7 +10,9 @@
 use crate::clusterer::{QueryStats, StreamingClusterer};
 use crate::config::StreamConfig;
 use crate::coreset_tree::CoresetTree;
-use crate::driver::{extract_centers_block, extract_clustering_result, BucketBuffer};
+use crate::driver::{
+    check_stored_dims, extract_centers_block, extract_clustering_result, BucketBuffer,
+};
 use crate::publish::ClusteringResult;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
@@ -213,6 +215,10 @@ impl StreamingClusterer for CoresetTreeClusterer {
 
     fn last_query_stats(&self) -> Option<QueryStats> {
         self.last_stats
+    }
+
+    fn check_restored(&self) -> Result<()> {
+        check_stored_dims(self.buffer.dim(), self.tree.active_coresets())
     }
 }
 

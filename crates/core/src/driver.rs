@@ -18,6 +18,7 @@ use skm_clustering::cost::assign_block;
 use skm_clustering::error::{ClusteringError, Result};
 use skm_clustering::kmeans::KMeans;
 use skm_clustering::{Centers, PointBlock};
+use skm_coreset::coreset::Coreset;
 
 /// Validates one arriving stream point against an optional known stream
 /// dimension, returning the (possibly newly learned) dimension on success.
@@ -57,6 +58,34 @@ pub fn validate_stream_point(dim: Option<usize>, point: &[f64], index: usize) ->
         return Err(ClusteringError::NonFiniteCoordinate { index });
     }
     Ok(point.len())
+}
+
+/// Checks that every stored coreset of a restored state has the stream's
+/// dimension `dim`; a stream with no dimension yet may store none. A
+/// block's own deserializer cannot see this: an empty block with a hostile
+/// `dim` is well-formed, and a union sized from that `dim` aborts the
+/// process. Compares `dim` fields only.
+pub(crate) fn check_stored_dims<'a>(
+    dim: Option<usize>,
+    coresets: impl IntoIterator<Item = &'a Coreset>,
+) -> Result<()> {
+    for coreset in coresets {
+        let got = coreset.points().dim();
+        if dim != Some(got) {
+            return Err(ClusteringError::InvalidParameter {
+                name: "snapshot",
+                message: match dim {
+                    Some(expected) => format!(
+                        "a stored coreset has dimension {got}, the stream dimension {expected}"
+                    ),
+                    None => format!(
+                        "a stream with no dimension yet stores a coreset of dimension {got}"
+                    ),
+                },
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Buffers arriving points into base buckets of `m` points.

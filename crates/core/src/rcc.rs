@@ -19,7 +19,9 @@
 use crate::cache::CoresetCache;
 use crate::clusterer::{QueryStats, StreamingClusterer};
 use crate::config::StreamConfig;
-use crate::driver::{extract_centers_block, extract_clustering_result, BucketBuffer};
+use crate::driver::{
+    check_stored_dims, extract_centers_block, extract_clustering_result, BucketBuffer,
+};
 use crate::numeric::major;
 use crate::publish::ClusteringResult;
 use rand::Rng;
@@ -239,6 +241,20 @@ impl RccNode {
             }
         }
         out
+    }
+
+    /// Checks the coresets stored in lists, caches and recursive
+    /// structures against the stream dimension (see
+    /// [`StreamingClusterer::check_restored`]).
+    fn check_dims(&self, dim: Option<usize>) -> Result<()> {
+        check_stored_dims(dim, self.cache.coresets())?;
+        for level in &self.levels {
+            check_stored_dims(dim, &level.list)?;
+            if let Some(inner) = &level.inner {
+                inner.check_dims(dim)?;
+            }
+        }
+        Ok(())
     }
 
     /// Points stored in lists, caches and recursive structures.
@@ -559,6 +575,10 @@ impl StreamingClusterer for RecursiveCachedTree {
 
     fn last_query_stats(&self) -> Option<QueryStats> {
         self.last_stats
+    }
+
+    fn check_restored(&self) -> Result<()> {
+        self.node.check_dims(self.buffer.dim())
     }
 }
 

@@ -75,20 +75,13 @@ pub const MAX_SHARDS: usize = 256;
 /// it (the worker ships a clone of itself over the reply channel and keeps
 /// processing).
 pub trait ShardClusterer: StreamingClusterer + Clone + Send + 'static {
-    /// The candidate points a query would hand to k-means++, summarizing
-    /// everything this shard has absorbed, plus query diagnostics.
-    ///
-    /// # Errors
-    /// Returns [`ClusteringError::EmptyInput`] when the shard has seen no
-    /// points (the coordinator skips such shards).
-    fn shard_candidates(&mut self) -> Result<(PointBlock, QueryStats)>;
-
     /// The candidate points covering (at least) this shard's most recent
     /// `last_points` points, plus diagnostics and the exact number of
     /// points covered (bucket-granular, `>= last_points`). A window
-    /// spanning the shard's whole sub-stream falls back to
-    /// [`shard_candidates`](ShardClusterer::shard_candidates), with
-    /// coverage equal to the shard's point count.
+    /// spanning the shard's whole sub-stream (the coordinator's
+    /// whole-stream query asks for `u64::MAX`) is answered with the
+    /// shard's whole-stream candidates, with coverage equal to the shard's
+    /// point count.
     ///
     /// # Errors
     /// Returns [`ClusteringError::EmptyInput`] when the shard has seen no
@@ -107,10 +100,6 @@ pub trait ShardClusterer: StreamingClusterer + Clone + Send + 'static {
 }
 
 impl ShardClusterer for CoresetTreeClusterer {
-    fn shard_candidates(&mut self) -> Result<(PointBlock, QueryStats)> {
-        self.query_candidates()
-    }
-
     fn shard_window_candidates(
         &mut self,
         last_points: u64,
@@ -130,10 +119,6 @@ impl ShardClusterer for CoresetTreeClusterer {
 }
 
 impl ShardClusterer for CachedCoresetTree {
-    fn shard_candidates(&mut self) -> Result<(PointBlock, QueryStats)> {
-        self.query_candidates()
-    }
-
     fn shard_window_candidates(
         &mut self,
         last_points: u64,
@@ -153,10 +138,6 @@ impl ShardClusterer for CachedCoresetTree {
 }
 
 impl ShardClusterer for RecursiveCachedTree {
-    fn shard_candidates(&mut self) -> Result<(PointBlock, QueryStats)> {
-        self.query_candidates()
-    }
-
     fn shard_window_candidates(
         &mut self,
         last_points: u64,
@@ -180,15 +161,11 @@ impl ShardClusterer for RecursiveCachedTree {
 enum ShardCmd<C> {
     /// A flat row-major batch of `coords.len() / dim` points to ingest.
     Batch { dim: usize, coords: Vec<f64> },
-    /// Produce the shard's candidate coreset (`None` when the shard is
-    /// empty). Ordered behind all previously sent batches, so the answer
-    /// covers every point accepted before the query.
-    Query {
-        reply: mpsc::Sender<Result<Option<(PointBlock, QueryStats)>>>,
-    },
     /// Produce the shard's candidate coreset for its most recent
     /// `last_points` points (`None` when the shard is empty), together
-    /// with the exact point coverage. FIFO-ordered like `Query`.
+    /// with the exact point coverage; `u64::MAX` asks for the whole
+    /// sub-stream. Ordered behind all previously sent batches, so the
+    /// answer covers every point accepted before the query.
     WindowQuery {
         last_points: u64,
         reply: mpsc::Sender<Result<Option<(PointBlock, QueryStats, u64)>>>,
@@ -226,14 +203,6 @@ fn shard_worker<C: ShardClusterer>(mut clusterer: C, commands: &mpsc::Receiver<S
                         failed = Some(e);
                     }
                 }
-            }
-            ShardCmd::Query { reply } => {
-                let response = match &failed {
-                    Some(e) => Err(e.clone()),
-                    None if clusterer.points_seen() == 0 => Ok(None),
-                    None => clusterer.shard_candidates().map(Some),
-                };
-                let _ = reply.send(response);
             }
             ShardCmd::WindowQuery { last_points, reply } => {
                 let response = match &failed {
@@ -527,6 +496,33 @@ impl<C: ShardClusterer> ShardedStream<C> {
             .map_err(|_| shard_disconnected(shard))
     }
 
+    /// Ships every pending batch, sends each shard the command `command`
+    /// builds around a reply channel (`None` skips the shard), and collects
+    /// the replies in shard order. Every command is sent before any reply
+    /// is awaited, so the workers run concurrently; channel FIFO makes each
+    /// reply reflect every point routed to its shard so far, and shard
+    /// order keeps merged answers deterministic.
+    fn fan_out<R>(
+        &mut self,
+        mut command: impl FnMut(usize, mpsc::Sender<R>) -> Option<ShardCmd<C>>,
+    ) -> Result<Vec<R>> {
+        for shard in 0..self.shards() {
+            self.flush_shard(shard)?;
+        }
+        let mut replies = Vec::with_capacity(self.shards());
+        for (shard, sender) in self.senders.iter().enumerate() {
+            let (tx, rx) = mpsc::channel();
+            if let Some(cmd) = command(shard, tx) {
+                sender.send(cmd).map_err(|_| shard_disconnected(shard))?;
+                replies.push((shard, rx));
+            }
+        }
+        replies
+            .into_iter()
+            .map(|(shard, rx)| rx.recv().map_err(|_| shard_disconnected(shard)))
+            .collect()
+    }
+
     /// Ships every pending batch and waits until all workers have caught
     /// up (a full barrier across shards). Useful to bound ingestion work
     /// before measuring, and before dropping the stream on a schedule.
@@ -534,22 +530,9 @@ impl<C: ShardClusterer> ShardedStream<C> {
     /// # Errors
     /// Returns an error when a worker thread is gone.
     pub fn drain(&mut self) -> Result<()> {
-        for shard in 0..self.shards() {
-            self.flush_shard(shard)?;
-        }
-        // One Stats round-trip per shard: the reply arrives only after the
-        // worker has processed everything queued before it.
-        let mut replies = Vec::with_capacity(self.shards());
-        for (shard, sender) in self.senders.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            sender
-                .send(ShardCmd::Stats { reply: tx })
-                .map_err(|_| shard_disconnected(shard))?;
-            replies.push(rx);
-        }
-        for (shard, rx) in replies.into_iter().enumerate() {
-            rx.recv().map_err(|_| shard_disconnected(shard))?;
-        }
+        // A Stats reply arrives only after the worker has processed
+        // everything queued before it.
+        self.fan_out(|_, reply| Some(ShardCmd::Stats { reply }))?;
         Ok(())
     }
 
@@ -569,53 +552,9 @@ impl<C: ShardClusterer> ShardedStream<C> {
         if self.points_seen == 0 {
             return Err(ClusteringError::EmptyInput);
         }
-        // Ship partial batches, then enqueue one query per shard *before*
-        // collecting any reply: every worker computes its candidates
-        // concurrently, and channel FIFO guarantees each answer reflects
-        // all points routed to that shard so far.
-        let mut replies = Vec::with_capacity(self.shards());
-        for shard in 0..self.shards() {
-            self.flush_shard(shard)?;
-        }
-        for (shard, sender) in self.senders.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            sender
-                .send(ShardCmd::Query { reply: tx })
-                .map_err(|_| shard_disconnected(shard))?;
-            replies.push(rx);
-        }
-        // Collect in shard order so the merged candidate block — and with
-        // it the k-means++ extraction — is deterministic.
-        let mut blocks = Vec::with_capacity(self.shards());
-        let mut merged = 0usize;
-        let mut level: Option<u32> = None;
-        let mut used_cache = false;
-        for (shard, rx) in replies.into_iter().enumerate() {
-            let response = rx.recv().map_err(|_| shard_disconnected(shard))?;
-            if let Some((block, stats)) = response? {
-                merged += stats.coresets_merged;
-                level = level.max(stats.coreset_level);
-                used_cache |= stats.used_cache;
-                blocks.push(block);
-            }
-        }
-        let candidates = union_blocks(&blocks)?;
-        let stats = QueryStats {
-            coresets_merged: merged,
-            candidate_points: candidates.len(),
-            coreset_level: level,
-            used_cache,
-            ran_kmeans: true,
-        };
-        let result = extract_clustering_result(
-            &candidates,
-            stats,
-            self.points_seen,
-            &self.config,
-            &mut self.rng,
-        )?;
-        self.last_stats = Some(result.stats);
-        Ok(self.publish.publish(result))
+        // Every shard answers a window at least its own size with its
+        // whole-stream candidates.
+        self.publish_candidates(&vec![u64::MAX; self.shards()], None)
     }
 
     /// How many of the most recent `last_points` arrivals were routed to
@@ -659,31 +598,29 @@ impl<C: ShardClusterer> ShardedStream<C> {
             return self.query_published();
         }
         let counts = self.window_points_per_shard(last_points);
-        for shard in 0..self.shards() {
-            self.flush_shard(shard)?;
-        }
-        let mut replies = Vec::with_capacity(self.shards());
-        for ((shard, sender), &count) in self.senders.iter().enumerate().zip(&counts) {
-            if count == 0 {
-                continue;
-            }
-            let (tx, rx) = mpsc::channel();
-            sender
-                .send(ShardCmd::WindowQuery {
-                    last_points: count,
-                    reply: tx,
-                })
-                .map_err(|_| shard_disconnected(shard))?;
-            replies.push((shard, rx));
-        }
-        // Collect in shard order for a deterministic merged block.
+        self.publish_candidates(&counts, Some(last_points))
+    }
+
+    /// The tail both strict queries share: asks each shard for the
+    /// candidates covering its most recent `counts[shard]` points (0 skips
+    /// the shard), unions them in shard order, extracts centers and
+    /// publishes the answer. `window` is the stream-level window a windowed
+    /// answer reports its summed coverage against.
+    fn publish_candidates(
+        &mut self,
+        counts: &[u64],
+        window: Option<u64>,
+    ) -> Result<Arc<PublishedClustering>> {
+        let replies = self.fan_out(|shard, reply| {
+            let last_points = counts.get(shard).copied().filter(|&n| n > 0)?;
+            Some(ShardCmd::WindowQuery { last_points, reply })
+        })?;
         let mut blocks = Vec::with_capacity(replies.len());
         let mut merged = 0usize;
         let mut level: Option<u32> = None;
         let mut used_cache = false;
         let mut covered = 0u64;
-        for (shard, rx) in replies {
-            let response = rx.recv().map_err(|_| shard_disconnected(shard))?;
+        for response in replies {
             if let Some((block, stats, shard_covered)) = response? {
                 merged += stats.coresets_merged;
                 level = level.max(stats.coreset_level);
@@ -707,7 +644,7 @@ impl<C: ShardClusterer> ShardedStream<C> {
             &self.config,
             &mut self.rng,
         )?;
-        result.window = Some(crate::publish::WindowInfo {
+        result.window = window.map(|last_points| crate::publish::WindowInfo {
             last_points,
             covered_points: covered,
         });
@@ -736,28 +673,11 @@ impl<C: ShardClusterer> ShardedStream<C> {
             return Ok(self.points_seen);
         }
         let counts = self.window_points_per_shard(last_points);
-        for shard in 0..self.shards() {
-            self.flush_shard(shard)?;
-        }
-        let mut replies = Vec::with_capacity(self.shards());
-        for ((shard, sender), &count) in self.senders.iter().enumerate().zip(&counts) {
-            if count == 0 {
-                continue;
-            }
-            let (tx, rx) = mpsc::channel();
-            sender
-                .send(ShardCmd::WindowCoverage {
-                    last_points: count,
-                    reply: tx,
-                })
-                .map_err(|_| shard_disconnected(shard))?;
-            replies.push((shard, rx));
-        }
-        let mut covered = 0u64;
-        for (shard, rx) in replies {
-            covered += rx.recv().map_err(|_| shard_disconnected(shard))?;
-        }
-        Ok(covered)
+        let covered = self.fan_out(|shard, reply| {
+            let last_points = counts.get(shard).copied().filter(|&n| n > 0)?;
+            Some(ShardCmd::WindowCoverage { last_points, reply })
+        })?;
+        Ok(covered.into_iter().sum())
     }
 
     /// Aggregated per-shard statistics: total and per-shard point counts
@@ -770,26 +690,11 @@ impl<C: ShardClusterer> ShardedStream<C> {
     /// # Errors
     /// Returns an error when a worker thread is gone.
     pub fn stats(&mut self) -> Result<StreamStats> {
-        for shard in 0..self.shards() {
-            self.flush_shard(shard)?;
-        }
-        let mut replies = Vec::with_capacity(self.shards());
-        for (shard, sender) in self.senders.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            sender
-                .send(ShardCmd::Stats { reply: tx })
-                .map_err(|_| shard_disconnected(shard))?;
-            replies.push(rx);
-        }
-        let mut per_shard_points = Vec::with_capacity(self.shards());
-        for (shard, rx) in replies.into_iter().enumerate() {
-            let (_, seen) = rx.recv().map_err(|_| shard_disconnected(shard))?;
-            per_shard_points.push(seen);
-        }
+        let replies = self.fan_out(|_, reply| Some(ShardCmd::Stats { reply }))?;
         Ok(StreamStats {
             points_seen: self.points_seen,
             shards: self.shards(),
-            per_shard_points,
+            per_shard_points: replies.into_iter().map(|(_, seen)| seen).collect(),
             last_query: self.last_stats,
         })
     }
@@ -808,22 +713,11 @@ impl<C: ShardClusterer + Serialize> ShardedStream<C> {
     /// Returns an error when a worker thread is gone or has latched an
     /// ingestion failure (a poisoned shard must not be persisted silently).
     pub fn snapshot(&mut self) -> Result<ShardedStreamState> {
-        for shard in 0..self.shards() {
-            self.flush_shard(shard)?;
-        }
-        let mut replies = Vec::with_capacity(self.shards());
-        for (shard, sender) in self.senders.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            sender
-                .send(ShardCmd::Snapshot { reply: tx })
-                .map_err(|_| shard_disconnected(shard))?;
-            replies.push(rx);
-        }
-        let mut shards = Vec::with_capacity(self.shards());
-        for (shard, rx) in replies.into_iter().enumerate() {
-            let clusterer = rx.recv().map_err(|_| shard_disconnected(shard))??;
-            shards.push(clusterer.to_value());
-        }
+        let shards = self
+            .fan_out(|_, reply| Some(ShardCmd::Snapshot { reply }))?
+            .into_iter()
+            .map(|clusterer| Ok(clusterer?.to_value()))
+            .collect::<Result<Vec<_>>>()?;
         Ok(ShardedStreamState {
             config: self.config,
             batch_size: self.batch_size,
@@ -889,6 +783,16 @@ impl<C: ShardClusterer + Deserialize> ShardedStream<C> {
         stream.publish.restore(state.published.clone());
         for (shard, value) in state.shards.iter().enumerate() {
             let clusterer = C::from_value(value).map_err(snapshot_error)?;
+            clusterer.check_restored()?;
+            if let Some(dim) = clusterer.dim().filter(|&d| state.dim != Some(d)) {
+                return Err(ClusteringError::InvalidParameter {
+                    name: "snapshot",
+                    message: format!(
+                        "shard {shard} has dimension {dim}, the stream dimension {:?}",
+                        state.dim
+                    ),
+                });
+            }
             stream.spawn_worker(shard, clusterer)?;
         }
         Ok(stream)
@@ -971,14 +875,8 @@ impl<C: ShardClusterer> StreamingClusterer for ShardedStream<C> {
     }
 
     fn query_clustering(&mut self) -> Result<ClusteringResult> {
-        let published = self.query_published()?;
-        Ok(ClusteringResult {
-            centers: published.centers.clone(),
-            cost: published.cost,
-            points_seen: published.points_seen,
-            stats: published.stats,
-            window: published.window,
-        })
+        // A window of every point is the whole-stream query.
+        self.query_window_clustering(u64::MAX)
     }
 
     fn query_window_clustering(&mut self, last_points: u64) -> Result<ClusteringResult> {

@@ -26,6 +26,16 @@
 //! epoch, centers, cost and `points_seen` all come from one immutable
 //! value.
 //!
+//! ## One mutation path
+//!
+//! A strict read is also a write (it drains buffers, caches a coreset,
+//! draws from the RNG and publishes an epoch). Every live ingest, strict
+//! query and strict stats request becomes a [`ReplicationRecord`] that one
+//! private path checks, logs, applies, stamps with its arrival time and
+//! checkpoints. WAL recovery and followers apply records through the same
+//! apply step, so a replayed log runs exactly the code the live requests
+//! ran.
+//!
 //! ## Eviction
 //!
 //! The engine holds at most `max_resident` tenants in memory. When a new
@@ -452,6 +462,25 @@ impl Backend {
         }
     }
 
+    /// Runs one strict query — over the whole stream, or over its most
+    /// recent `last_points` points — and publishes the answer. This is the
+    /// one place that decides who publishes: the sharded stream publishes
+    /// from inside its own query (its slot is the tenant's), single
+    /// backends through `slot`.
+    fn publish_query(
+        &mut self,
+        slot: &PublishSlot,
+        last_points: Option<u64>,
+    ) -> Result<Arc<PublishedClustering>> {
+        let result = match (self, last_points) {
+            (Backend::ShardedCc(s), None) => return s.query_published(),
+            (Backend::ShardedCc(s), Some(n)) => return s.query_window_published(n),
+            (other, None) => other.clusterer().query_clustering()?,
+            (other, Some(n)) => other.clusterer().query_window_clustering(n)?,
+        };
+        Ok(slot.publish(result))
+    }
+
     fn state_value(&mut self) -> Result<serde::Value> {
         Ok(match self {
             Backend::ShardedCc(s) => s.snapshot()?.to_value(),
@@ -466,7 +495,7 @@ impl Backend {
             name: "snapshot",
             message: e.to_string(),
         };
-        let backend = match kind {
+        let mut backend = match kind {
             BackendKind::ShardedCc => {
                 // `ShardedStream::restore` validates config and cursor
                 // itself.
@@ -484,13 +513,16 @@ impl Backend {
             }
         };
         // A tampered single-backend snapshot must not smuggle in a
-        // configuration the constructors would have rejected.
+        // configuration the constructors would have rejected, nor a stored
+        // block of another dimension than its stream (the sharded restore
+        // checks each shard itself).
         match &backend {
             Backend::ShardedCc(_) => {}
             Backend::Cc(c) => c.config().validate()?,
             Backend::Ct(c) => c.config().validate()?,
             Backend::Rcc(c) => c.config().validate()?,
         }
+        backend.clusterer().check_restored()?;
         Ok(backend)
     }
 }
@@ -565,8 +597,12 @@ impl ArrivalLog {
     /// `cutoff_ms`. A point that arrived exactly at the cutoff is exactly
     /// the window's span old and still belongs to "the last T seconds" —
     /// in particular, ingests coalesced into engine millisecond 0 must
-    /// count when the cutoff saturates to 0.
+    /// count when the cutoff saturates to 0. With no timestamped entry
+    /// yet, every point predates the log and none is in any window.
     fn points_since(&self, cutoff_ms: u64, total: u64) -> u64 {
+        if self.entries.is_empty() {
+            return 0;
+        }
         let mut old = self.base;
         for &(ms, cum) in &self.entries {
             if ms >= cutoff_ms {
@@ -586,8 +622,8 @@ struct Tenant {
     backend: Mutex<Backend>,
     /// The published-answer cell cached reads are served from. For the
     /// sharded backend this is the stream's own slot (the stream publishes
-    /// from inside its query); for single-threaded backends the engine
-    /// publishes after each strict query.
+    /// from inside its query); single-threaded backends publish into it
+    /// through [`Backend::publish_query`].
     slot: Arc<PublishSlot>,
     /// Shard count, fixed at construction (reported by cached stats
     /// without taking the lock).
@@ -751,6 +787,49 @@ impl Tenant {
         // restored tenant resume at the saved epoch.
         tenant.slot.restore(file.published);
         Ok(tenant)
+    }
+}
+
+/// What applying one record produced: the answer of the live request that
+/// logged it.
+enum Applied {
+    /// Points seen after an ingest.
+    Seen(u64),
+    /// The answer a strict query published.
+    Published(Arc<PublishedClustering>),
+    /// The stats a strict stats request collected.
+    Stats(StreamStats),
+}
+
+impl Applied {
+    fn seen(self) -> Result<u64> {
+        match self {
+            Applied::Seen(seen) => Ok(seen),
+            _ => Err(Self::mismatch()),
+        }
+    }
+
+    fn published(self) -> Result<Arc<PublishedClustering>> {
+        match self {
+            Applied::Published(published) => Ok(published),
+            _ => Err(Self::mismatch()),
+        }
+    }
+
+    fn stats(self) -> Result<StreamStats> {
+        match self {
+            Applied::Stats(stats) => Ok(stats),
+            _ => Err(Self::mismatch()),
+        }
+    }
+
+    /// Each record kind yields one variant, so a mismatch means the caller
+    /// built the wrong record: an internal error, not a panic.
+    fn mismatch() -> ClusteringError {
+        ClusteringError::InvalidParameter {
+            name: "record",
+            message: "the applied record does not answer this request".to_string(),
+        }
     }
 }
 
@@ -930,71 +1009,49 @@ impl Engine {
                         message,
                     }
                 })?;
-                Self::apply_record(&mut guard, &tenant, &record)?;
+                Self::apply_record(&mut guard, &tenant.slot, &record)?;
             }
         }
         tenant.wal = Some(Mutex::new(wal));
         Ok(tenant)
     }
 
-    /// Applies one replication record to a backend, through the same code
-    /// paths that produced it on the primary (recovery replay and
-    /// follower apply share this). Caller holds the backend guard.
+    /// Applies one record to a backend and returns what the live request
+    /// that logged it answers with. Live requests (through
+    /// [`Engine::commit`]), WAL recovery and followers all run this, so a
+    /// replayed record takes exactly the code path that produced it.
+    /// Caller holds the backend guard.
     fn apply_record(
         backend: &mut Backend,
-        tenant: &Tenant,
+        slot: &PublishSlot,
         record: &ReplicationRecord,
-    ) -> Result<()> {
-        match record {
+    ) -> Result<Applied> {
+        Ok(match record {
             ReplicationRecord::Ingest { point } => {
-                backend.clusterer().update(point)?;
+                let clusterer = backend.clusterer();
+                clusterer.update(point)?;
+                Applied::Seen(clusterer.points_seen())
             }
             ReplicationRecord::IngestBatch { points } => {
                 let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
-                backend.clusterer().update_batch(&refs)?;
+                let clusterer = backend.clusterer();
+                clusterer.update_batch(&refs)?;
+                Applied::Seen(clusterer.points_seen())
             }
             // Strict reads mutate: they drain buffers, consume coordinator
             // RNG and publish an epoch. Re-running them is what keeps
             // recovered state bit-identical (including the epoch counter).
-            ReplicationRecord::Query {} => match backend {
-                Backend::ShardedCc(s) => {
-                    s.query_published()?;
-                }
-                other => {
-                    let result = other.clusterer().query_clustering()?;
-                    tenant.slot.publish(result);
-                }
-            },
-            ReplicationRecord::Stats {} => {
-                backend.stats()?;
-            }
+            ReplicationRecord::Query {} => Applied::Published(backend.publish_query(slot, None)?),
+            ReplicationRecord::Stats {} => Applied::Stats(backend.stats()?),
             // Windowed strict reads consume the shared query RNG just like
             // whole-stream ones (selection is pure, extraction is not), so
             // they carry the resolved point count and are re-run verbatim.
             // `last_secs` windows were resolved to points before logging,
             // so replay never consults a clock.
             ReplicationRecord::QueryWindow { last_points } => {
-                Self::run_window_query(backend, tenant, *last_points)?;
+                Applied::Published(backend.publish_query(slot, Some(*last_points))?)
             }
-        }
-        Ok(())
-    }
-
-    /// Runs one strict windowed query against a backend and publishes the
-    /// answer through the tenant's slot (the sharded stream publishes from
-    /// inside its own query). Caller holds the backend guard.
-    fn run_window_query(
-        backend: &mut Backend,
-        tenant: &Tenant,
-        last_points: u64,
-    ) -> Result<Arc<PublishedClustering>> {
-        match backend {
-            Backend::ShardedCc(s) => s.query_window_published(last_points),
-            other => {
-                let result = other.clusterer().query_window_clustering(last_points)?;
-                Ok(tenant.slot.publish(result))
-            }
-        }
+        })
     }
 
     /// Bucket-granular coverage of a point window against a backend's
@@ -1267,41 +1324,70 @@ impl Engine {
         self.default_spec.kind
     }
 
-    /// Ingests one point into a tenant; returns its total points seen
-    /// afterwards.
-    ///
-    /// # Errors
-    /// Returns validation errors (dimension mismatch, non-finite
-    /// coordinates, empty point, bad namespace); the tenant state is
-    /// unchanged on error.
-    pub fn ingest_in(&self, namespace: &str, point: &[f64]) -> Result<u64> {
-        self.with_backend(namespace, |backend, tenant| {
-            let clusterer = backend.clusterer();
-            let before = clusterer.points_seen();
-            if let Some(wal) = &tenant.wal {
-                // Log-before-apply. Validation is pulled forward (the
-                // stream drivers' own check) so only records the backend
-                // will accept are logged — the log and the applied state
-                // stay in lockstep. Without a WAL the backend validates
-                // itself and behavior is unchanged.
-                validate_stream_point(clusterer.dim(), point, 0)?;
-                Self::wal_append(
-                    wal,
-                    &ReplicationRecord::Ingest {
-                        point: point.to_vec(),
-                    },
-                )?;
-            }
-            clusterer.update(point)?;
-            let seen = clusterer.points_seen();
+    /// The one mutation path of a live request, run under the tenant's
+    /// backend lock: check the record, log it, apply it through
+    /// [`Engine::apply_record`] — the code WAL recovery and followers run,
+    /// so replay equivalence holds by construction — stamp the arrival of
+    /// ingested points, and checkpoint when due. A refused record is never
+    /// logged, so the log and the applied state stay in lockstep.
+    fn commit(
+        &self,
+        backend: &mut Backend,
+        tenant: &Tenant,
+        record: &ReplicationRecord,
+    ) -> Result<Applied> {
+        Self::check_record(backend, record)?;
+        if let Some(wal) = &tenant.wal {
+            Self::wal_append(wal, record)?;
+        }
+        let before = backend.clusterer().points_seen();
+        let applied = Self::apply_record(backend, &tenant.slot, record)?;
+        if let Applied::Seen(seen) = applied {
+            // Live only: recovered, replicated and restored points carry
+            // no arrival stamps (see `ArrivalLog`).
             tenant
                 .arrivals
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .record(self.now_ms(), before, seen);
-            Self::wal_checkpoint_if_due(tenant, backend)?;
-            Ok(seen)
-        })
+        }
+        Self::wal_checkpoint_if_due(tenant, backend)?;
+        Ok(applied)
+    }
+
+    /// Refuses a live record the backend would refuse, before anything is
+    /// logged: a bad point; a bad batch, checked whole so that no point of
+    /// it is consumed (the sharded coordinator's `update_batch` is a
+    /// per-point loop); a strict query on an empty stream; a window with no
+    /// points.
+    fn check_record(backend: &mut Backend, record: &ReplicationRecord) -> Result<()> {
+        let clusterer = backend.clusterer();
+        match record {
+            ReplicationRecord::Ingest { point } => {
+                validate_stream_point(clusterer.dim(), point, 0)?;
+            }
+            ReplicationRecord::IngestBatch { points } => {
+                let mut dim = clusterer.dim();
+                for (index, point) in points.iter().enumerate() {
+                    dim = Some(validate_stream_point(dim, point, index)?);
+                }
+            }
+            ReplicationRecord::Query {} | ReplicationRecord::QueryWindow { .. }
+                if clusterer.points_seen() == 0 =>
+            {
+                return Err(ClusteringError::EmptyInput);
+            }
+            ReplicationRecord::QueryWindow { last_points: 0 } => {
+                return Err(ClusteringError::InvalidParameter {
+                    name: "window",
+                    message: "the time window contains no points".to_string(),
+                });
+            }
+            ReplicationRecord::Query {}
+            | ReplicationRecord::QueryWindow { .. }
+            | ReplicationRecord::Stats {} => {}
+        }
+        Ok(())
     }
 
     /// Appends one record to a tenant's log (buffered; durability follows
@@ -1332,44 +1418,36 @@ impl Engine {
         Ok(())
     }
 
+    /// Ingests one point into a tenant; returns its total points seen
+    /// afterwards.
+    ///
+    /// # Errors
+    /// Returns validation errors (dimension mismatch, non-finite
+    /// coordinates, empty point, bad namespace); the tenant state is
+    /// unchanged on error.
+    pub fn ingest_in(&self, namespace: &str, point: &[f64]) -> Result<u64> {
+        let record = ReplicationRecord::Ingest {
+            point: point.to_vec(),
+        };
+        self.with_backend(namespace, |backend, tenant| {
+            self.commit(backend, tenant, &record)?.seen()
+        })
+    }
+
     /// Ingests a batch of points atomically into a tenant: the whole batch
     /// is validated against the stream dimension before any point is
-    /// consumed, so a rejected batch leaves the tenant untouched.
+    /// consumed, so a rejected batch leaves the tenant untouched. The batch
+    /// is logged as one record, so replay preserves its atomicity.
     ///
     /// # Errors
     /// Returns the first validation failure (with the offending in-batch
     /// index for non-finite coordinates).
     pub fn ingest_batch_in(&self, namespace: &str, points: &[Vec<f64>]) -> Result<u64> {
-        let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
+        let record = ReplicationRecord::IngestBatch {
+            points: points.to_vec(),
+        };
         self.with_backend(namespace, |backend, tenant| {
-            let clusterer = backend.clusterer();
-            let before = clusterer.points_seen();
-            // Pre-validate the whole batch so even backends whose
-            // `update_batch` is a per-point loop (the sharded coordinator)
-            // reject atomically at the serving layer.
-            let mut dim = clusterer.dim();
-            for (index, point) in refs.iter().enumerate() {
-                dim = Some(validate_stream_point(dim, point, index)?);
-            }
-            if let Some(wal) = &tenant.wal {
-                // The whole batch passed validation above; log it as one
-                // record so replay preserves batch atomicity.
-                Self::wal_append(
-                    wal,
-                    &ReplicationRecord::IngestBatch {
-                        points: points.to_vec(),
-                    },
-                )?;
-            }
-            clusterer.update_batch(&refs)?;
-            let seen = clusterer.points_seen();
-            tenant
-                .arrivals
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .record(self.now_ms(), before, seen);
-            Self::wal_checkpoint_if_due(tenant, backend)?;
-            Ok(seen)
+            self.commit(backend, tenant, &record)?.seen()
         })
     }
 
@@ -1404,29 +1482,8 @@ impl Engine {
             self.refuse_unpublished_on_follower()?;
         }
         self.with_backend(namespace, |backend, tenant| {
-            if let Some(wal) = &tenant.wal {
-                // Strict queries mutate: they drain buffers, consume
-                // coordinator RNG and publish an epoch. Replay must
-                // re-run them, so log a marker — but only for queries
-                // that will execute: an empty stream answers `EmptyInput`
-                // and mutates nothing, so it is checked (and returned)
-                // first.
-                if backend.clusterer().points_seen() == 0 {
-                    return Err(ClusteringError::EmptyInput);
-                }
-                Self::wal_append(wal, &ReplicationRecord::Query {})?;
-            }
-            let published = match &mut *backend {
-                // The sharded stream publishes from inside its own query
-                // (its slot is this tenant's slot).
-                Backend::ShardedCc(s) => s.query_published()?,
-                other => {
-                    let result = other.clusterer().query_clustering()?;
-                    tenant.slot.publish(result)
-                }
-            };
-            Self::wal_checkpoint_if_due(tenant, backend)?;
-            Ok(published)
+            self.commit(backend, tenant, &ReplicationRecord::Query {})?
+                .published()
         })
     }
 
@@ -1477,38 +1534,16 @@ impl Engine {
         let now_ms = self.now_ms();
         self.with_backend(namespace, |backend, tenant| {
             let seen = backend.clusterer().points_seen();
-            if seen == 0 {
-                return Err(ClusteringError::EmptyInput);
-            }
             let last_points = Self::resolve_window(tenant, window, now_ms, seen);
-            if last_points == 0 {
-                return Err(ClusteringError::InvalidParameter {
-                    name: "window",
-                    message: "the time window contains no points".to_string(),
-                });
-            }
-            if last_points >= seen {
-                // Whole-stream normalization: identical to the ordinary
-                // strict query, and logged as one.
-                if let Some(wal) = &tenant.wal {
-                    Self::wal_append(wal, &ReplicationRecord::Query {})?;
-                }
-                let published = match &mut *backend {
-                    Backend::ShardedCc(s) => s.query_published()?,
-                    other => {
-                        let result = other.clusterer().query_clustering()?;
-                        tenant.slot.publish(result)
-                    }
-                };
-                Self::wal_checkpoint_if_due(tenant, backend)?;
-                return Ok(published);
-            }
-            if let Some(wal) = &tenant.wal {
-                Self::wal_append(wal, &ReplicationRecord::QueryWindow { last_points })?;
-            }
-            let published = Self::run_window_query(backend, tenant, last_points)?;
-            Self::wal_checkpoint_if_due(tenant, backend)?;
-            Ok(published)
+            // A window spanning the whole stream is the ordinary strict
+            // query and is logged as one; on an empty stream that query is
+            // what the check refuses with `EmptyInput`.
+            let record = if last_points >= seen {
+                ReplicationRecord::Query {}
+            } else {
+                ReplicationRecord::QueryWindow { last_points }
+            };
+            self.commit(backend, tenant, &record)?.published()
         })
     }
 
@@ -1529,19 +1564,15 @@ impl Engine {
     ) -> Result<(StreamStats, WindowInfo)> {
         let now_ms = self.now_ms();
         self.with_backend(namespace, |backend, tenant| {
-            if let Some(wal) = &tenant.wal {
-                // The drain is the mutation replay must repeat; the
-                // coverage probe adds no state effects.
-                Self::wal_append(wal, &ReplicationRecord::Stats {})?;
-            }
-            let stats = backend.stats()?;
+            let stats = self
+                .commit(backend, tenant, &ReplicationRecord::Stats {})?
+                .stats()?;
             let last_points = Self::resolve_window(tenant, window, now_ms, stats.points_seen);
             let covered_points = if last_points == 0 {
                 0
             } else {
                 Self::window_coverage(backend, last_points)?
             };
-            Self::wal_checkpoint_if_due(tenant, backend)?;
             Ok((
                 stats,
                 WindowInfo {
@@ -1597,14 +1628,8 @@ impl Engine {
             self.refuse_unpublished_on_follower()?;
         }
         self.with_backend(namespace, |backend, tenant| {
-            if let Some(wal) = &tenant.wal {
-                // Strict stats drain the coordinator buffers — a mutation
-                // replay must repeat.
-                Self::wal_append(wal, &ReplicationRecord::Stats {})?;
-            }
-            let stats = backend.stats()?;
-            Self::wal_checkpoint_if_due(tenant, backend)?;
-            Ok(stats)
+            self.commit(backend, tenant, &ReplicationRecord::Stats {})?
+                .stats()
         })
     }
 
@@ -1638,58 +1663,6 @@ impl Engine {
         self.with_backend(namespace, |backend, tenant| tenant.snapshot_string(backend))
     }
 
-    /// Ingests one point into the default tenant ([`Engine::ingest_in`]).
-    ///
-    /// # Errors
-    /// See [`Engine::ingest_in`].
-    pub fn ingest(&self, point: &[f64]) -> Result<u64> {
-        self.ingest_in(DEFAULT_NAMESPACE, point)
-    }
-
-    /// Batch-ingests into the default tenant
-    /// ([`Engine::ingest_batch_in`]).
-    ///
-    /// # Errors
-    /// See [`Engine::ingest_batch_in`].
-    pub fn ingest_batch(&self, points: &[Vec<f64>]) -> Result<u64> {
-        self.ingest_batch_in(DEFAULT_NAMESPACE, points)
-    }
-
-    /// Queries the default tenant ([`Engine::query_in`]).
-    ///
-    /// # Errors
-    /// See [`Engine::query_in`].
-    pub fn query(&self, freshness: Freshness) -> Result<Arc<PublishedClustering>> {
-        self.query_in(DEFAULT_NAMESPACE, freshness)
-    }
-
-    /// The default tenant's published answer, if any.
-    #[must_use]
-    pub fn published(&self) -> Option<Arc<PublishedClustering>> {
-        self.published_in(DEFAULT_NAMESPACE).ok().flatten()
-    }
-
-    /// The default tenant's publish epoch (0 before the first strict
-    /// query).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch_in(DEFAULT_NAMESPACE).unwrap_or(0)
-    }
-
-    /// Stats for the default tenant ([`Engine::stats_in`]).
-    ///
-    /// # Errors
-    /// See [`Engine::stats_in`].
-    pub fn stats(&self, freshness: Freshness) -> Result<StreamStats> {
-        self.stats_in(DEFAULT_NAMESPACE, freshness)
-    }
-
-    /// Total points the default tenant has ingested so far.
-    #[must_use]
-    pub fn points_seen(&self) -> u64 {
-        self.points_seen_in(DEFAULT_NAMESPACE).unwrap_or(0)
-    }
-
     /// Points held in memory across **all** resident tenants (paper
     /// accounting; evicted tenants cost disk, not RAM).
     #[must_use]
@@ -1701,17 +1674,8 @@ impl Engine {
             .sum()
     }
 
-    /// Serializes the default tenant into the versioned JSON envelope
-    /// ([`Engine::snapshot_json_in`]).
-    ///
-    /// # Errors
-    /// See [`Engine::snapshot_json_in`].
-    pub fn snapshot_json(&self) -> Result<String> {
-        self.snapshot_json_in(DEFAULT_NAMESPACE)
-    }
-
     /// Cold-starts an engine from a snapshot produced by
-    /// [`Engine::snapshot_json`] / [`Engine::snapshot_json_in`]. The
+    /// [`Engine::snapshot_json_in`]. The
     /// restored tenant keeps the namespace recorded in the envelope;
     /// continuing it is bit-identical to continuing the engine the
     /// snapshot was taken from. Tenants created lazily afterwards inherit
@@ -1875,7 +1839,7 @@ impl Engine {
         record: &ReplicationRecord,
     ) -> Result<()> {
         self.with_backend(namespace, |backend, tenant| {
-            Self::apply_record(backend, tenant, record)
+            Self::apply_record(backend, &tenant.slot, record).map(drop)
         })
     }
 
@@ -1953,10 +1917,7 @@ mod tests {
     }
 
     fn feed(engine: &Engine, n: usize, offset: f64) {
-        for i in 0..n {
-            let x = if i % 2 == 0 { 0.0 } else { 60.0 };
-            engine.ingest(&[x + offset, (i % 5) as f64 * 0.1]).unwrap();
-        }
+        feed_in(engine, DEFAULT_NAMESPACE, n, offset);
     }
 
     fn feed_in(engine: &Engine, namespace: &str, n: usize, offset: f64) {
@@ -1988,15 +1949,19 @@ mod tests {
         ] {
             let engine = Engine::new(&spec(kind)).unwrap();
             assert_eq!(engine.kind(), kind);
-            assert_eq!(engine.epoch(), 0, "{kind:?}");
+            assert_eq!(engine.epoch_in(DEFAULT_NAMESPACE).unwrap(), 0, "{kind:?}");
             feed(&engine, 300, 0.0);
-            let published = engine.query(Freshness::Strict).unwrap();
+            let published = engine
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
             assert_eq!(published.centers.len(), 2, "{kind:?}");
             assert_eq!(published.points_seen, 300, "{kind:?}");
             assert_eq!(published.epoch, 1, "{kind:?}");
             assert!(published.cost.is_finite(), "{kind:?}");
             assert!(published.stats.ran_kmeans, "{kind:?}");
-            let s = engine.stats(Freshness::Strict).unwrap();
+            let s = engine
+                .stats_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
             assert_eq!(s.points_seen, 300, "{kind:?}");
             assert_eq!(s.per_shard_points.iter().sum::<u64>(), 300, "{kind:?}");
             assert!(engine.memory_points() > 0, "{kind:?}");
@@ -2010,23 +1975,33 @@ mod tests {
             feed(&engine, 100, 0.0);
             // Nothing published yet: the first cached query falls back to a
             // strict one (seeding the slot) instead of erroring.
-            let seeded = engine.query(Freshness::Cached).unwrap();
+            let seeded = engine
+                .query_in(DEFAULT_NAMESPACE, Freshness::Cached)
+                .unwrap();
             assert_eq!(seeded.epoch, 1, "{kind:?}");
             // More ingestion does not move the published answer …
             feed(&engine, 100, 0.5);
-            let cached = engine.query(Freshness::Cached).unwrap();
+            let cached = engine
+                .query_in(DEFAULT_NAMESPACE, Freshness::Cached)
+                .unwrap();
             assert_eq!(cached.epoch, 1, "{kind:?}");
             assert_eq!(cached.points_seen, 100, "{kind:?}");
             assert_eq!(cached.centers, seeded.centers, "{kind:?}");
             // … until the next strict query republishes.
-            let strict = engine.query(Freshness::Strict).unwrap();
+            let strict = engine
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
             assert_eq!(strict.epoch, 2, "{kind:?}");
             assert_eq!(strict.points_seen, 200, "{kind:?}");
-            let cached = engine.query(Freshness::Cached).unwrap();
+            let cached = engine
+                .query_in(DEFAULT_NAMESPACE, Freshness::Cached)
+                .unwrap();
             assert_eq!(cached.epoch, 2, "{kind:?}");
 
             // Cached stats come from the published snapshot, lock-free.
-            let stats = engine.stats(Freshness::Cached).unwrap();
+            let stats = engine
+                .stats_in(DEFAULT_NAMESPACE, Freshness::Cached)
+                .unwrap();
             assert_eq!(stats.points_seen, 200, "{kind:?}");
             assert!(stats.per_shard_points.is_empty(), "{kind:?}");
             assert_eq!(stats.last_query, Some(cached.stats), "{kind:?}");
@@ -2048,10 +2023,12 @@ mod tests {
         for i in 0..300usize {
             let x = if i % 2 == 0 { 0.0 } else { 60.0 };
             let p = [x, (i % 5) as f64 * 0.1];
-            engine.ingest(&p).unwrap();
+            engine.ingest_in(DEFAULT_NAMESPACE, &p).unwrap();
             direct.update(&p).unwrap();
         }
-        let served = engine.query(Freshness::Strict).unwrap();
+        let served = engine
+            .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap();
         let expected = direct.query().unwrap();
         assert_eq!(served.centers, expected);
     }
@@ -2073,24 +2050,30 @@ mod tests {
         assert!(panicked.is_err(), "the helper thread must have panicked");
 
         // Every path still works.
-        engine.ingest(&[1.0, 2.0]).unwrap();
-        assert_eq!(engine.points_seen(), 51);
-        let published = engine.query(Freshness::Strict).unwrap();
+        engine.ingest_in(DEFAULT_NAMESPACE, &[1.0, 2.0]).unwrap();
+        assert_eq!(engine.points_seen_in(DEFAULT_NAMESPACE).unwrap(), 51);
+        let published = engine
+            .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap();
         assert_eq!(published.centers.len(), 2);
-        engine.query(Freshness::Cached).unwrap();
-        engine.stats(Freshness::Strict).unwrap();
-        engine.snapshot_json().unwrap();
+        engine
+            .query_in(DEFAULT_NAMESPACE, Freshness::Cached)
+            .unwrap();
+        engine
+            .stats_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap();
+        engine.snapshot_json_in(DEFAULT_NAMESPACE).unwrap();
     }
 
     #[test]
     fn batch_rejection_is_atomic_for_every_backend() {
         for kind in [BackendKind::ShardedCc, BackendKind::Cc] {
             let engine = Engine::new(&spec(kind)).unwrap();
-            engine.ingest(&[1.0, 2.0]).unwrap();
+            engine.ingest_in(DEFAULT_NAMESPACE, &[1.0, 2.0]).unwrap();
             // Good point followed by a wrong-dimension point: nothing of the
             // batch may be consumed.
             let err = engine
-                .ingest_batch(&[vec![3.0, 4.0], vec![5.0]])
+                .ingest_batch_in(DEFAULT_NAMESPACE, &[vec![3.0, 4.0], vec![5.0]])
                 .unwrap_err();
             assert!(matches!(
                 err,
@@ -2100,21 +2083,31 @@ mod tests {
                 }
             ));
             let err = engine
-                .ingest_batch(&[vec![3.0, 4.0], vec![f64::NAN, 0.0]])
+                .ingest_batch_in(DEFAULT_NAMESPACE, &[vec![3.0, 4.0], vec![f64::NAN, 0.0]])
                 .unwrap_err();
             assert!(matches!(
                 err,
                 ClusteringError::NonFiniteCoordinate { index: 1 }
             ));
-            assert!(engine.ingest_batch(&[vec![3.0, 4.0], vec![]]).is_err());
-            assert_eq!(engine.points_seen(), 1, "{kind:?}");
+            assert!(engine
+                .ingest_batch_in(DEFAULT_NAMESPACE, &[vec![3.0, 4.0], vec![]])
+                .is_err());
+            assert_eq!(
+                engine.points_seen_in(DEFAULT_NAMESPACE).unwrap(),
+                1,
+                "{kind:?}"
+            );
             // A self-inconsistent first batch on a fresh engine must also be
             // rejected whole.
             let fresh = Engine::new(&spec(kind)).unwrap();
             assert!(fresh
-                .ingest_batch(&[vec![1.0, 2.0], vec![1.0, 2.0, 3.0]])
+                .ingest_batch_in(DEFAULT_NAMESPACE, &[vec![1.0, 2.0], vec![1.0, 2.0, 3.0]])
                 .is_err());
-            assert_eq!(fresh.points_seen(), 0, "{kind:?}");
+            assert_eq!(
+                fresh.points_seen_in(DEFAULT_NAMESPACE).unwrap(),
+                0,
+                "{kind:?}"
+            );
         }
     }
 
@@ -2130,14 +2123,18 @@ mod tests {
             let snapshotted = Engine::new(&spec(kind)).unwrap();
             feed(&reference, 150, 0.0);
             feed(&snapshotted, 150, 0.0);
-            let json = snapshotted.snapshot_json().unwrap();
+            let json = snapshotted.snapshot_json_in(DEFAULT_NAMESPACE).unwrap();
             drop(snapshotted);
             let restored = Engine::from_snapshot_json(&json).unwrap();
             assert_eq!(restored.kind(), kind);
             feed(&reference, 150, 0.5);
             feed(&restored, 150, 0.5);
-            let a = reference.query(Freshness::Strict).unwrap();
-            let b = restored.query(Freshness::Strict).unwrap();
+            let a = reference
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
+            let b = restored
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
             assert_eq!(
                 a.centers, b.centers,
                 "{kind:?} snapshot continuation diverged"
@@ -2150,19 +2147,27 @@ mod tests {
         for kind in [BackendKind::ShardedCc, BackendKind::Cc] {
             let engine = Engine::new(&spec(kind)).unwrap();
             feed(&engine, 150, 0.0);
-            engine.query(Freshness::Strict).unwrap();
-            engine.query(Freshness::Strict).unwrap();
-            let saved = engine.published().unwrap();
+            engine
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
+            engine
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
+            let saved = engine.published_in(DEFAULT_NAMESPACE).unwrap().unwrap();
             assert_eq!(saved.epoch, 2, "{kind:?}");
 
-            let json = engine.snapshot_json().unwrap();
+            let json = engine.snapshot_json_in(DEFAULT_NAMESPACE).unwrap();
             let restored = Engine::from_snapshot_json(&json).unwrap();
             // Cached reads resume at the saved epoch, without any query.
-            let republished = restored.query(Freshness::Cached).unwrap();
+            let republished = restored
+                .query_in(DEFAULT_NAMESPACE, Freshness::Cached)
+                .unwrap();
             assert_eq!(republished.as_ref(), saved.as_ref(), "{kind:?}");
-            assert_eq!(restored.epoch(), 2, "{kind:?}");
+            assert_eq!(restored.epoch_in(DEFAULT_NAMESPACE).unwrap(), 2, "{kind:?}");
             // The next strict query continues the sequence.
-            let next = restored.query(Freshness::Strict).unwrap();
+            let next = restored
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
             assert_eq!(next.epoch, 3, "{kind:?}");
         }
 
@@ -2170,9 +2175,11 @@ mod tests {
         // slot (epoch 0), not a fabricated answer.
         let engine = Engine::new(&spec(BackendKind::Cc)).unwrap();
         feed(&engine, 30, 0.0);
-        let restored = Engine::from_snapshot_json(&engine.snapshot_json().unwrap()).unwrap();
-        assert_eq!(restored.epoch(), 0);
-        assert!(restored.published().is_none());
+        let restored =
+            Engine::from_snapshot_json(&engine.snapshot_json_in(DEFAULT_NAMESPACE).unwrap())
+                .unwrap();
+        assert_eq!(restored.epoch_in(DEFAULT_NAMESPACE).unwrap(), 0);
+        assert!(restored.published_in(DEFAULT_NAMESPACE).unwrap().is_none());
     }
 
     #[test]
@@ -2184,8 +2191,10 @@ mod tests {
         // tampered with or corrupted and must not restore as either copy.
         let engine = Engine::new(&spec(BackendKind::ShardedCc)).unwrap();
         feed(&engine, 150, 0.0);
-        engine.query(Freshness::Strict).unwrap();
-        let json = engine.snapshot_json().unwrap();
+        engine
+            .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap();
+        let json = engine.snapshot_json_in(DEFAULT_NAMESPACE).unwrap();
 
         // The epoch appears exactly twice (envelope + stream state); bump
         // only the first (envelope-level) occurrence.
@@ -2201,7 +2210,7 @@ mod tests {
     fn snapshot_envelope_is_versioned_and_validated() {
         let engine = Engine::new(&spec(BackendKind::Cc)).unwrap();
         feed(&engine, 30, 0.0);
-        let json = engine.snapshot_json().unwrap();
+        let json = engine.snapshot_json_in(DEFAULT_NAMESPACE).unwrap();
         assert!(json.contains("\"snapshot_version\":4"));
         assert!(json.contains("\"namespace\":\"default\""));
         assert!(json.contains("\"backend\":\"cc\""));
@@ -2221,7 +2230,7 @@ mod tests {
     fn tampered_snapshots_are_rejected_not_restored() {
         let engine = Engine::new(&spec(BackendKind::Cc)).unwrap();
         feed(&engine, 30, 0.0);
-        let json = engine.snapshot_json().unwrap();
+        let json = engine.snapshot_json_in(DEFAULT_NAMESPACE).unwrap();
 
         // A hand-edited bucket size of 0 would make the partial bucket
         // never flush; both the buffer's own deserializer and the config
@@ -2246,8 +2255,10 @@ mod tests {
         ] {
             let engine = Engine::new(&spec(kind)).unwrap();
             feed(&engine, 130, 0.0);
-            engine.query(Freshness::Strict).unwrap();
-            let json = engine.snapshot_json().unwrap();
+            engine
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
+            let json = engine.snapshot_json_in(DEFAULT_NAMESPACE).unwrap();
             assert!(Engine::from_snapshot_json(&json).is_ok(), "{kind:?}");
             let short = tamper_first_coreset(&json, |coords| {
                 coords.pop();
@@ -2259,41 +2270,149 @@ mod tests {
     }
 
     /// Applies `edit` to the coordinate array of the first stored coreset in
-    /// a snapshot, found by structure rather than by key spelling: the first
+    /// a snapshot (see [`tamper_first_points`]).
+    fn tamper_first_coreset(json: &str, edit: impl Fn(&mut Vec<serde::Value>)) -> String {
+        tamper_first_points(json, |points| {
+            let coords = coordinate_array(points).expect("matched as a point block");
+            assert!(!coords.is_empty());
+            edit(coords);
+        })
+    }
+
+    /// Applies `edit` to the points of the first stored coreset in a
+    /// snapshot, found by structure rather than by key spelling: the first
     /// map under a `points` key that holds `dim`, `weights` and one other,
     /// array-valued entry.
-    fn tamper_first_coreset(json: &str, edit: impl Fn(&mut Vec<serde::Value>)) -> String {
-        fn coordinate_array(points: &mut serde::Value) -> Option<&mut Vec<serde::Value>> {
-            let serde::Value::Map(fields) = points else {
-                return None;
-            };
-            let has = |name: &str| fields.iter().any(|(k, _)| k == name);
-            if fields.len() != 3 || !has("dim") || !has("weights") {
-                return None;
-            }
-            fields.iter_mut().find_map(|(k, v)| match v {
-                serde::Value::Seq(coords) if k != "weights" => Some(coords),
-                _ => None,
-            })
-        }
-        fn first_coreset(value: &mut serde::Value) -> Option<&mut Vec<serde::Value>> {
+    fn tamper_first_points(json: &str, edit: impl FnOnce(&mut serde::Value)) -> String {
+        fn first_points(value: &mut serde::Value) -> Option<&mut serde::Value> {
             match value {
                 serde::Value::Map(entries) => entries.iter_mut().find_map(|(key, child)| {
                     if key == "points" {
-                        coordinate_array(child)
+                        coordinate_array(child).is_some().then_some(child)
                     } else {
-                        first_coreset(child)
+                        first_points(child)
                     }
                 }),
-                serde::Value::Seq(items) => items.iter_mut().find_map(first_coreset),
+                serde::Value::Seq(items) => items.iter_mut().find_map(first_points),
                 _ => None,
             }
         }
         let mut value: serde::Value = serde_json::from_str(json).unwrap();
-        let coords = first_coreset(&mut value).expect("fixture drifted: no stored coreset");
-        assert!(!coords.is_empty());
-        edit(coords);
+        edit(first_points(&mut value).expect("fixture drifted: no stored coreset"));
         serde_json::to_string(&value).unwrap()
+    }
+
+    /// The coordinate array of a serialized point block, `None` for any
+    /// other value.
+    fn coordinate_array(points: &mut serde::Value) -> Option<&mut Vec<serde::Value>> {
+        let serde::Value::Map(fields) = points else {
+            return None;
+        };
+        let has = |name: &str| fields.iter().any(|(k, _)| k == name);
+        if fields.len() != 3 || !has("dim") || !has("weights") {
+            return None;
+        }
+        fields.iter_mut().find_map(|(k, v)| match v {
+            serde::Value::Seq(coords) if k != "weights" => Some(coords),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn stored_coresets_of_another_dimension_are_refused_at_restore() {
+        // An empty stored coreset with a huge `dim` passes the block's own
+        // shape check (0 × dim = 0 coordinates). Once restored, the next
+        // merge sized its union from that `dim` and aborted the process
+        // (ct, cc, sharded-cc), or every strict query failed (rcc).
+        let hostile: serde::Value =
+            serde_json::from_str(r#"{"dim":1099511627776,"coords":[],"weights":[]}"#).unwrap();
+        let refused = |text: &str, kind: BackendKind| {
+            let err = Engine::from_snapshot_json(text).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ClusteringError::InvalidParameter {
+                        name: "snapshot",
+                        ..
+                    }
+                ),
+                "{kind:?}: {err:?}"
+            );
+        };
+        for kind in [
+            BackendKind::ShardedCc,
+            BackendKind::Cc,
+            BackendKind::Ct,
+            BackendKind::Rcc,
+        ] {
+            let engine = Engine::new(&spec(kind)).unwrap();
+            feed(&engine, 130, 0.0);
+            engine
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
+            let json = engine.snapshot_json_in(DEFAULT_NAMESPACE).unwrap();
+            refused(
+                &tamper_first_points(&json, |points| *points = hostile.clone()),
+                kind,
+            );
+
+            // A stream with no dimension yet may store no coreset. At 160
+            // points no buffer holds a partial bucket, so each buffer's
+            // dimension can be cleared alone.
+            feed(&engine, 30, 0.0);
+            let json = engine.snapshot_json_in(DEFAULT_NAMESPACE).unwrap();
+            let dimensionless = json.replace(
+                "\"dim\":2,\"partial\":null",
+                "\"dim\":null,\"partial\":null",
+            );
+            assert_ne!(dimensionless, json, "fixture drifted: {kind:?}");
+            refused(&dimensionless, kind);
+            assert!(Engine::from_snapshot_json(&json).is_ok(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn time_windows_hold_only_live_arrivals_after_a_restore_or_a_recovery() {
+        // Restored and recovered points carry no arrival stamps: they are
+        // older than any time window, so the window starts empty and
+        // counts live ingests only.
+        let window = Window::Secs(60.0);
+        let check = |engine: &Engine, kind: BackendKind| {
+            let (stats, info) = engine.stats_window_in(DEFAULT_NAMESPACE, window).unwrap();
+            assert_eq!(stats.points_seen, 130, "{kind:?}");
+            assert_eq!((info.last_points, info.covered_points), (0, 0), "{kind:?}");
+            let err = engine
+                .query_window_in(DEFAULT_NAMESPACE, window)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ClusteringError::InvalidParameter { name: "window", .. }
+                ),
+                "{kind:?}: {err:?}"
+            );
+            engine.ingest_in(DEFAULT_NAMESPACE, &[1.0, 0.0]).unwrap();
+            let (_, info) = engine.stats_window_in(DEFAULT_NAMESPACE, window).unwrap();
+            assert_eq!(info.last_points, 1, "{kind:?}");
+        };
+        for kind in [BackendKind::ShardedCc, BackendKind::Cc] {
+            let engine = Engine::new(&spec(kind)).unwrap();
+            feed(&engine, 130, 0.0);
+            let json = engine.snapshot_json_in(DEFAULT_NAMESPACE).unwrap();
+            check(&Engine::from_snapshot_json(&json).unwrap(), kind);
+
+            let dir = temp_dir(&format!("window-{}", kind.tag()));
+            std::fs::remove_dir_all(&dir).ok();
+            let open = || {
+                Engine::new(&spec(kind))
+                    .unwrap()
+                    .with_wal(WalConfig::new(dir.clone()))
+                    .unwrap()
+            };
+            feed(&open(), 130, 0.0);
+            check(&open(), kind);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -2318,7 +2437,7 @@ mod tests {
         feed(&engine, 10, 0.0);
         assert_eq!(engine.points_seen_in("a").unwrap(), 100);
         assert_eq!(engine.points_seen_in("b").unwrap(), 40);
-        assert_eq!(engine.points_seen(), 10);
+        assert_eq!(engine.points_seen_in(DEFAULT_NAMESPACE).unwrap(), 10);
 
         let a = engine.query_in("a", Freshness::Strict).unwrap();
         let b = engine.query_in("b", Freshness::Strict).unwrap();
@@ -2327,7 +2446,7 @@ mod tests {
         // Epochs are per tenant, not global.
         assert_eq!(a.epoch, 1);
         assert_eq!(b.epoch, 1);
-        assert_eq!(engine.epoch(), 0);
+        assert_eq!(engine.epoch_in(DEFAULT_NAMESPACE).unwrap(), 0);
 
         // A tenant that was never touched does not exist until touched.
         let mut resident = engine.resident_tenants();
@@ -2361,7 +2480,7 @@ mod tests {
         feed_in(&engine, "a", 60, 0.0);
         engine.query_in("a", Freshness::Strict).unwrap();
         // Touch default so `a` is the LRU when `b` arrives.
-        let _ = engine.points_seen();
+        let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
         feed_in(&engine, "b", 20, 0.0);
 
         assert!(engine.is_evicted_to_disk("a"), "a should be paged out");
@@ -2422,7 +2541,7 @@ mod tests {
         );
         // Existing tenants keep working at the cap.
         engine.ingest_in("a", &[1.0, 2.0]).unwrap();
-        engine.ingest(&[1.0, 2.0]).unwrap();
+        engine.ingest_in(DEFAULT_NAMESPACE, &[1.0, 2.0]).unwrap();
     }
 
     #[test]
@@ -2460,7 +2579,7 @@ mod tests {
         let dir = temp_dir("cfgdup");
         let capped = Engine::with_options(&spec(BackendKind::Cc), 1, Some(dir.clone())).unwrap();
         feed_in(&capped, "t", 10, 0.0);
-        let _ = capped.points_seen(); // make default the MRU
+        let _ = capped.points_seen_in(DEFAULT_NAMESPACE); // make default the MRU
         assert!(capped.is_evicted_to_disk("t"));
         let err = capped.configure("t", &custom).unwrap_err();
         assert!(
@@ -2515,10 +2634,18 @@ mod tests {
             // and the epoch counter.
             feed(&reference, 120, 0.0);
             feed(&durable, 120, 0.0);
-            reference.query(Freshness::Strict).unwrap();
-            durable.query(Freshness::Strict).unwrap();
-            reference.stats(Freshness::Strict).unwrap();
-            durable.stats(Freshness::Strict).unwrap();
+            reference
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
+            durable
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
+            reference
+                .stats_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
+            durable
+                .stats_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
             feed(&reference, 80, 0.5);
             feed(&durable, 80, 0.5);
             // Drop without checkpointing: recovery replays the tail.
@@ -2528,10 +2655,22 @@ mod tests {
                 .unwrap()
                 .with_wal(WalConfig::new(dir.clone()))
                 .unwrap();
-            assert_eq!(recovered.points_seen(), 200, "{kind:?}");
-            assert_eq!(recovered.epoch(), 1, "{kind:?} recovered epoch");
-            let a = reference.query(Freshness::Strict).unwrap();
-            let b = recovered.query(Freshness::Strict).unwrap();
+            assert_eq!(
+                recovered.points_seen_in(DEFAULT_NAMESPACE).unwrap(),
+                200,
+                "{kind:?}"
+            );
+            assert_eq!(
+                recovered.epoch_in(DEFAULT_NAMESPACE).unwrap(),
+                1,
+                "{kind:?} recovered epoch"
+            );
+            let a = reference
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
+            let b = recovered
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
             assert_eq!(a.centers, b.centers, "{kind:?} recovery diverged");
             assert_eq!(a.epoch, b.epoch, "{kind:?} epoch sequence diverged");
 
@@ -2636,8 +2775,12 @@ mod tests {
             .unwrap();
         feed(&reference, 150, 0.0);
         feed(&durable, 150, 0.0);
-        reference.query(Freshness::Strict).unwrap();
-        durable.query(Freshness::Strict).unwrap();
+        reference
+            .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap();
+        durable
+            .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap();
         drop(durable);
 
         let recovered = Engine::new(&spec(BackendKind::Cc))
@@ -2646,8 +2789,12 @@ mod tests {
             .unwrap();
         feed(&reference, 150, 0.5);
         feed(&recovered, 150, 0.5);
-        let a = reference.query(Freshness::Strict).unwrap();
-        let b = recovered.query(Freshness::Strict).unwrap();
+        let a = reference
+            .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap();
+        let b = recovered
+            .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap();
         assert_eq!(a.centers, b.centers, "compacted recovery diverged");
         assert_eq!(a.epoch, b.epoch);
 
@@ -2667,7 +2814,7 @@ mod tests {
             .unwrap();
         feed_in(&engine, "a", 60, 0.0);
         engine.query_in("a", Freshness::Strict).unwrap();
-        let _ = engine.points_seen(); // make default the MRU
+        let _ = engine.points_seen_in(DEFAULT_NAMESPACE); // make default the MRU
         feed_in(&engine, "b", 20, 0.0); // pages `a` out
 
         assert!(engine.is_evicted_to_disk("a"));
@@ -2771,16 +2918,20 @@ mod tests {
             .with_wal(WalConfig::new(dir.clone()).with_fsync_ms(0))
             .unwrap();
         feed(&primary, 100, 0.0);
-        primary.query(Freshness::Strict).unwrap();
+        primary
+            .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap();
 
         // Follower bootstrap: snapshot at seq, then tail from seq + 1.
         let (seq, epoch, snapshot) = primary.replica_snapshot_in(DEFAULT_NAMESPACE).unwrap();
         assert_eq!(epoch, 1);
         let follower = Engine::from_snapshot_json(&snapshot).unwrap();
-        assert_eq!(follower.epoch(), 1);
+        assert_eq!(follower.epoch_in(DEFAULT_NAMESPACE).unwrap(), 1);
 
         feed(&primary, 50, 0.5);
-        primary.query(Freshness::Strict).unwrap();
+        primary
+            .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap();
         let (records, last_seq) = primary.wal_tail_in(DEFAULT_NAMESPACE, seq + 1).unwrap();
         let records = records.expect("tail not compacted");
         assert_eq!(records.last().map(|(s, _)| *s), Some(last_seq));
@@ -2793,8 +2944,8 @@ mod tests {
 
         // The follower applied the primary's exact input stream through
         // the same code paths: published answers are bit-identical.
-        let a = primary.published().unwrap();
-        let b = follower.published().unwrap();
+        let a = primary.published_in(DEFAULT_NAMESPACE).unwrap().unwrap();
+        let b = follower.published_in(DEFAULT_NAMESPACE).unwrap().unwrap();
         assert_eq!(a.as_ref(), b.as_ref(), "follower diverged from primary");
 
         // A compacted position forces a resync.
@@ -2819,40 +2970,75 @@ mod tests {
 
     #[test]
     fn rejected_writes_are_not_logged() {
-        let dir = temp_dir("wal-reject");
-        std::fs::remove_dir_all(&dir).ok();
-        let engine = Engine::new(&spec(BackendKind::Cc))
-            .unwrap()
-            .with_wal(WalConfig::new(dir.clone()))
-            .unwrap();
-        engine.ingest(&[1.0, 2.0]).unwrap();
-        let seq_after_accept = engine.wal_durable_seq_in(DEFAULT_NAMESPACE).ok();
+        // Check, then log, then apply: on every backend, no refused request
+        // appends a record.
+        for kind in [
+            BackendKind::ShardedCc,
+            BackendKind::Cc,
+            BackendKind::Ct,
+            BackendKind::Rcc,
+        ] {
+            let dir = temp_dir(&format!("wal-reject-{}", kind.tag()));
+            std::fs::remove_dir_all(&dir).ok();
+            let open = || {
+                Engine::new(&spec(kind))
+                    .unwrap()
+                    .with_wal(WalConfig::new(dir.clone()))
+                    .unwrap()
+            };
+            let unlogged = |engine: &Engine, refused: &dyn Fn(&Engine) -> ClusteringError| {
+                let last_seq = || engine.wal_tail_in(DEFAULT_NAMESPACE, 1).unwrap().1;
+                let before = last_seq();
+                let err = refused(engine);
+                assert_eq!(last_seq(), before, "{kind:?}: {err:?} was logged");
+                err
+            };
 
-        // Every rejected shape: empty, wrong dimension, non-finite, and a
-        // batch poisoned mid-way. None may append a record.
-        assert!(engine.ingest(&[]).is_err());
-        assert!(engine.ingest(&[1.0]).is_err());
-        assert!(engine.ingest(&[f64::NAN, 0.0]).is_err());
-        assert!(engine.ingest_batch(&[vec![3.0, 4.0], vec![5.0]]).is_err());
-        let (records, last_seq) = engine.wal_tail_in(DEFAULT_NAMESPACE, 1).unwrap();
-        assert_eq!(last_seq, 1, "only the accepted ingest is logged");
-        let _ = (seq_after_accept, records);
+            // Strict queries on an empty stream, whole or windowed, answer
+            // EmptyInput.
+            let engine = open();
+            for window in [None, Some(Window::Points(5))] {
+                let err = unlogged(&engine, &|e| {
+                    match window {
+                        None => e.query_in(DEFAULT_NAMESPACE, Freshness::Strict),
+                        Some(w) => e.query_window_in(DEFAULT_NAMESPACE, w),
+                    }
+                    .unwrap_err()
+                });
+                assert!(matches!(err, ClusteringError::EmptyInput), "{kind:?}");
+            }
 
-        // Empty-stream strict query answers EmptyInput without logging.
-        let fresh_dir = temp_dir("wal-reject-empty");
-        std::fs::remove_dir_all(&fresh_dir).ok();
-        let fresh = Engine::new(&spec(BackendKind::Cc))
-            .unwrap()
-            .with_wal(WalConfig::new(fresh_dir.clone()))
-            .unwrap();
-        assert!(matches!(
-            fresh.query(Freshness::Strict).unwrap_err(),
-            ClusteringError::EmptyInput
-        ));
-        let (_, last_seq) = fresh.wal_tail_in(DEFAULT_NAMESPACE, 1).unwrap();
-        assert_eq!(last_seq, 0, "a refused query must not be logged");
+            // Every rejected ingest shape: empty, wrong dimension,
+            // non-finite, and a batch poisoned mid-way.
+            engine.ingest_in(DEFAULT_NAMESPACE, &[1.0, 2.0]).unwrap();
+            let bad_points: [&[f64]; 3] = [&[], &[1.0], &[f64::NAN, 0.0]];
+            for point in bad_points {
+                unlogged(&engine, &|e| {
+                    e.ingest_in(DEFAULT_NAMESPACE, point).unwrap_err()
+                });
+            }
+            unlogged(&engine, &|e| {
+                e.ingest_batch_in(DEFAULT_NAMESPACE, &[vec![3.0, 4.0], vec![5.0]])
+                    .unwrap_err()
+            });
+            let (_, last_seq) = engine.wal_tail_in(DEFAULT_NAMESPACE, 1).unwrap();
+            assert_eq!(last_seq, 1, "{kind:?}: only the accepted ingest is logged");
+            drop(engine);
 
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&fresh_dir).ok();
+            // A time window over a freshly recovered tenant holds no point.
+            let err = unlogged(&open(), &|e| {
+                e.query_window_in(DEFAULT_NAMESPACE, Window::Secs(60.0))
+                    .unwrap_err()
+            });
+            assert!(
+                matches!(
+                    err,
+                    ClusteringError::InvalidParameter { name: "window", .. }
+                ),
+                "{kind:?}: {err:?}"
+            );
+
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

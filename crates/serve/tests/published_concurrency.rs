@@ -39,8 +39,14 @@ fn cached_queries_never_observe_torn_snapshots() {
     // query below is a pure slot read — an empty slot would make the first
     // cached query per reader fall back to a strict (publishing) one.
     let warmup: Vec<Vec<f64>> = (0..100).map(|i| point(i).to_vec()).collect();
-    engine.ingest_batch(&warmup).unwrap();
-    assert_eq!(engine.query(Freshness::Strict).unwrap().epoch, 1);
+    engine.ingest_batch_in(DEFAULT_NAMESPACE, &warmup).unwrap();
+    assert_eq!(
+        engine
+            .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap()
+            .epoch,
+        1
+    );
 
     std::thread::scope(|scope| {
         // Writer: ingest continuously, republish via a strict query every
@@ -53,9 +59,13 @@ fn cached_queries_never_observe_torn_snapshots() {
                 let batch: Vec<Vec<f64>> = (round * 50..(round + 1) * 50)
                     .map(|i| point(i).to_vec())
                     .collect();
-                writer_engine.ingest_batch(&batch).unwrap();
+                writer_engine
+                    .ingest_batch_in(DEFAULT_NAMESPACE, &batch)
+                    .unwrap();
                 if round % 5 == 4 {
-                    let p = writer_engine.query(Freshness::Strict).unwrap();
+                    let p = writer_engine
+                        .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                        .unwrap();
                     published.push((p.epoch, p.points_seen));
                 }
             }
@@ -72,7 +82,9 @@ fn cached_queries_never_observe_torn_snapshots() {
                 let mut last: Option<(u64, u64)> = None;
                 let mut observations = 0u64;
                 while !reader_done.load(Ordering::SeqCst) {
-                    let p = reader_engine.query(Freshness::Cached).unwrap();
+                    let p = reader_engine
+                        .query_in(DEFAULT_NAMESPACE, Freshness::Cached)
+                        .unwrap();
                     // Internal consistency of one observation.
                     assert_eq!(p.centers.len(), 3, "cached answer lost centers");
                     assert!(p.cost.is_finite(), "cached answer lost its cost");
@@ -111,9 +123,18 @@ fn cached_queries_never_observe_torn_snapshots() {
 
     // After the run the slot holds the last publish (warmup epoch 1 plus
     // the writer's 12), and cached queries reproduce it exactly.
-    let last = engine.query(Freshness::Cached).unwrap();
+    let last = engine
+        .query_in(DEFAULT_NAMESPACE, Freshness::Cached)
+        .unwrap();
     assert_eq!(last.epoch, 13);
-    assert_eq!(last.points_seen, engine.published().unwrap().points_seen);
+    assert_eq!(
+        last.points_seen,
+        engine
+            .published_in(DEFAULT_NAMESPACE)
+            .unwrap()
+            .unwrap()
+            .points_seen
+    );
 }
 
 /// The strict path through the engine must stay bit-identical to driving
@@ -131,15 +152,19 @@ fn strict_queries_are_bit_identical_to_the_direct_clusterers() {
     let mut direct = ShardedStream::cc(config(), SHARDS, BATCH, SEED).unwrap();
     for i in 0..total {
         let p = point(i);
-        engine.ingest(&p).unwrap();
+        engine.ingest_in(DEFAULT_NAMESPACE, &p).unwrap();
         direct.update(&p).unwrap();
         if i + 1 == mid {
-            let served = engine.query(Freshness::Strict).unwrap();
+            let served = engine
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
             let expected = direct.query().unwrap();
             assert_eq!(served.centers, expected, "mid-stream centers diverged");
         }
     }
-    let served = engine.query(Freshness::Strict).unwrap();
+    let served = engine
+        .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+        .unwrap();
     let expected = direct.query().unwrap();
     assert_eq!(served.centers, expected, "end-of-stream centers diverged");
     assert_eq!(served.points_seen, direct.points_seen());
@@ -154,24 +179,33 @@ fn strict_queries_are_bit_identical_to_the_direct_clusterers() {
     let mut reference = ShardedStream::cc(config(), SHARDS, BATCH, SEED).unwrap();
     for i in 0..total {
         let p = point(i);
-        engine_with_cached.ingest(&p).unwrap();
+        engine_with_cached.ingest_in(DEFAULT_NAMESPACE, &p).unwrap();
         reference.update(&p).unwrap();
         if i + 1 == 100 {
             // Seed the slot with one strict query (mirrored on the
             // reference): every later cached query is then a pure slot
             // read that consumes no RNG.
-            engine_with_cached.query(Freshness::Strict).unwrap();
+            engine_with_cached
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
             reference.query().unwrap();
         } else if i % 100 == 99 {
-            engine_with_cached.query(Freshness::Cached).unwrap();
+            engine_with_cached
+                .query_in(DEFAULT_NAMESPACE, Freshness::Cached)
+                .unwrap();
         }
         if i + 1 == mid {
-            engine_with_cached.query(Freshness::Strict).unwrap();
+            engine_with_cached
+                .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+                .unwrap();
             reference.query().unwrap();
         }
     }
     assert_eq!(
-        engine_with_cached.query(Freshness::Strict).unwrap().centers,
+        engine_with_cached
+            .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
+            .unwrap()
+            .centers,
         reference.query().unwrap(),
         "interleaved cached queries perturbed the strict path"
     );

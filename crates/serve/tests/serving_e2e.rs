@@ -153,7 +153,10 @@ fn snapshot_kill_restore_continue_is_bit_identical_over_the_wire() {
 
     let snapshot = std::fs::read_to_string(&snapshot_path).unwrap();
     let restored = Arc::new(Engine::from_snapshot_json(&snapshot).unwrap());
-    assert_eq!(restored.points_seen(), cut as u64);
+    assert_eq!(
+        restored.points_seen_in(DEFAULT_NAMESPACE).unwrap(),
+        cut as u64
+    );
     let handle = Server::bind("127.0.0.1:0", restored, None)
         .unwrap()
         .spawn()

@@ -4,7 +4,7 @@
 //! the LRU policy must pick the coldest resident tenant.
 
 use skm_serve::engine::{evict_file_name, BackendKind, Engine, EngineSpec};
-use skm_serve::protocol::Freshness;
+use skm_serve::protocol::{Freshness, DEFAULT_NAMESPACE};
 use skm_serve::{Client, RequestOptions, Response, Server};
 use skm_stream::StreamConfig;
 use std::path::PathBuf;
@@ -75,7 +75,7 @@ fn evict_restore_continue_is_bit_identical_to_an_uninterrupted_twin() {
 
         // Make `x` the LRU on A (touch default), then create `y`: the map
         // is at its cap, so `x` is paged out to disk.
-        let _ = engine.points_seen();
+        let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
         engine.ingest_in("y", &point(0, 500.0)).unwrap();
         assert!(
             engine.is_evicted_to_disk("x"),
@@ -123,7 +123,7 @@ fn single_threaded_backends_survive_eviction_bit_identically() {
 
         feed_range(&engine, "x", 0..90, 0.0);
         feed_range(&twin, "x", 0..90, 0.0);
-        let _ = engine.points_seen();
+        let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
         engine.ingest_in("y", &point(0, 500.0)).unwrap();
         assert!(engine.is_evicted_to_disk("x"), "{kind:?}");
 
@@ -150,7 +150,7 @@ fn the_least_recently_touched_tenant_is_the_victim() {
     feed_range(&engine, "b", 0..30, 100.0);
     // Touch order now (coldest first): default, a, b. Refresh default so
     // `a` becomes the coldest resident — and therefore the victim.
-    let _ = engine.points_seen();
+    let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
     engine.ingest_in("c", &point(0, 200.0)).unwrap();
     assert!(engine.is_evicted_to_disk("a"), "expected `a` paged out");
     assert!(!engine.is_evicted_to_disk("b"));
@@ -244,7 +244,7 @@ fn cached_reads_survive_eviction() {
         Engine::with_options(&spec(BackendKind::ShardedCc, 7, 2, 8), 2, Some(dir.clone())).unwrap();
     feed_range(&engine, "x", 0..120, 0.0);
     let published = engine.query_in("x", Freshness::Strict).unwrap();
-    let _ = engine.points_seen();
+    let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
     engine.ingest_in("y", &point(0, 500.0)).unwrap();
     assert!(engine.is_evicted_to_disk("x"));
 

@@ -105,13 +105,17 @@ fn sigkill_then_restart_continues_bit_identically() {
     // query. Recovery of the killed server must land exactly here.
     let reference = Engine::new(&cli_spec()).unwrap();
     for i in 0..150 {
-        reference.ingest(&point(i, 0.0)).unwrap();
+        reference
+            .ingest_in(DEFAULT_NAMESPACE, &point(i, 0.0))
+            .unwrap();
     }
     let _ = reference
         .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
         .unwrap();
     for i in 0..50 {
-        reference.ingest(&point(i, 1.0)).unwrap();
+        reference
+            .ingest_in(DEFAULT_NAMESPACE, &point(i, 1.0))
+            .unwrap();
     }
     let expected = reference
         .query_in(DEFAULT_NAMESPACE, Freshness::Strict)
@@ -142,7 +146,7 @@ fn sigkill_then_restart_continues_bit_identically() {
     {
         let probe = Engine::new(&cli_spec()).unwrap();
         for i in 0..150 {
-            probe.ingest(&point(i, 0.0)).unwrap();
+            probe.ingest_in(DEFAULT_NAMESPACE, &point(i, 0.0)).unwrap();
         }
         let probe_q = probe
             .query_in(DEFAULT_NAMESPACE, Freshness::Strict)

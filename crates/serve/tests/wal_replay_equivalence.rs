@@ -46,7 +46,7 @@ fn run_workload(engine: &Engine, seed: u64) {
         for j in 0..4usize {
             let x = if (i + j).is_multiple_of(2) { 0.0 } else { 60.0 };
             let y = ((i * 7 + j + seed as usize) % 5) as f64 * 0.1;
-            engine.ingest(&[x, y]).unwrap();
+            engine.ingest_in(DEFAULT_NAMESPACE, &[x, y]).unwrap();
             fed += 1;
         }
         if i % 5 == 4 {

@@ -125,7 +125,9 @@ fn main() {
 
     // Snapshot the engine, shut the server down, cold-start from the
     // snapshot and confirm the restored service picks up where it left off.
-    let snapshot = engine.snapshot_json().expect("snapshot");
+    let snapshot = engine
+        .snapshot_json_in(DEFAULT_NAMESPACE)
+        .expect("snapshot");
     query.shutdown().expect("shutdown request");
     handle.shutdown().expect("clean shutdown");
 
