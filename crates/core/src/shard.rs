@@ -75,6 +75,26 @@ pub const MAX_SHARDS: usize = 256;
 /// it (the worker ships a clone of itself over the reply channel and keeps
 /// processing).
 pub trait ShardClusterer: StreamingClusterer + Clone + Send + 'static {
+    /// Whole-stream candidate points and their diagnostics.
+    ///
+    /// # Errors
+    /// [`ClusteringError::EmptyInput`] before the first point.
+    fn query_candidates(&mut self) -> Result<(PointBlock, QueryStats)>;
+
+    /// Candidates of the smallest stored-summary suffix covering the most
+    /// recent `last_points` points, with the exact number covered.
+    ///
+    /// # Errors
+    /// [`ClusteringError::EmptyInput`] before the first point.
+    fn query_window_candidates(
+        &mut self,
+        last_points: u64,
+    ) -> Result<(PointBlock, QueryStats, u64)>;
+
+    /// The coverage `query_window_candidates` would report, computed
+    /// without touching any state. `0` when the shard is empty.
+    fn window_coverage(&self, last_points: u64) -> u64;
+
     /// The candidate points covering (at least) this shard's most recent
     /// `last_points` points, plus diagnostics and the exact number of
     /// points covered (bucket-granular, `>= last_points`). A window
@@ -89,72 +109,41 @@ pub trait ShardClusterer: StreamingClusterer + Clone + Send + 'static {
     fn shard_window_candidates(
         &mut self,
         last_points: u64,
-    ) -> Result<(PointBlock, QueryStats, u64)>;
-
-    /// The coverage [`shard_window_candidates`] would report for this
-    /// window, computed without touching any state (no merge, no RNG, no
-    /// cache traffic). `0` when the shard is empty.
-    ///
-    /// [`shard_window_candidates`]: ShardClusterer::shard_window_candidates
-    fn shard_window_coverage(&self, last_points: u64) -> u64;
-}
-
-impl ShardClusterer for CoresetTreeClusterer {
-    fn shard_window_candidates(
-        &mut self,
-        last_points: u64,
     ) -> Result<(PointBlock, QueryStats, u64)> {
         crate::clusterer::validate_window_points(last_points)?;
-        if last_points >= self.points_seen() {
-            let seen = self.points_seen();
-            let (block, stats) = self.query_candidates()?;
+        let seen = self.points_seen();
+        if last_points >= seen {
+            let (block, stats) = ShardClusterer::query_candidates(self)?;
             return Ok((block, stats, seen));
         }
-        self.query_window_candidates(last_points)
-    }
-
-    fn shard_window_coverage(&self, last_points: u64) -> u64 {
-        self.window_coverage(last_points)
+        ShardClusterer::query_window_candidates(self, last_points)
     }
 }
 
-impl ShardClusterer for CachedCoresetTree {
-    fn shard_window_candidates(
-        &mut self,
-        last_points: u64,
-    ) -> Result<(PointBlock, QueryStats, u64)> {
-        crate::clusterer::validate_window_points(last_points)?;
-        if last_points >= self.points_seen() {
-            let seen = self.points_seen();
-            let (block, stats) = self.query_candidates()?;
-            return Ok((block, stats, seen));
-        }
-        self.query_window_candidates(last_points)
-    }
+/// The coreset-tree clusterers serve as shard workers through their
+/// inherent methods of the same names.
+macro_rules! shard_clusterer {
+    ($($clusterer:ty),+) => {$(
+        impl ShardClusterer for $clusterer {
+            fn query_candidates(&mut self) -> Result<(PointBlock, QueryStats)> {
+                <$clusterer>::query_candidates(self)
+            }
 
-    fn shard_window_coverage(&self, last_points: u64) -> u64 {
-        self.window_coverage(last_points)
-    }
+            fn query_window_candidates(
+                &mut self,
+                last_points: u64,
+            ) -> Result<(PointBlock, QueryStats, u64)> {
+                <$clusterer>::query_window_candidates(self, last_points)
+            }
+
+            fn window_coverage(&self, last_points: u64) -> u64 {
+                <$clusterer>::window_coverage(self, last_points)
+            }
+        }
+    )+};
 }
 
-impl ShardClusterer for RecursiveCachedTree {
-    fn shard_window_candidates(
-        &mut self,
-        last_points: u64,
-    ) -> Result<(PointBlock, QueryStats, u64)> {
-        crate::clusterer::validate_window_points(last_points)?;
-        if last_points >= self.points_seen() {
-            let seen = self.points_seen();
-            let (block, stats) = self.query_candidates()?;
-            return Ok((block, stats, seen));
-        }
-        self.query_window_candidates(last_points)
-    }
-
-    fn shard_window_coverage(&self, last_points: u64) -> u64 {
-        self.window_coverage(last_points)
-    }
-}
+shard_clusterer!(CoresetTreeClusterer, CachedCoresetTree, RecursiveCachedTree);
 
 /// Commands the ingestion thread sends to a shard worker. Replies travel
 /// over per-request channels so a worker never blocks on a slow consumer.
@@ -216,7 +205,7 @@ fn shard_worker<C: ShardClusterer>(mut clusterer: C, commands: &mpsc::Receiver<S
                 let _ = reply.send((clusterer.memory_points(), clusterer.points_seen()));
             }
             ShardCmd::WindowCoverage { last_points, reply } => {
-                let _ = reply.send(clusterer.shard_window_coverage(last_points));
+                let _ = reply.send(clusterer.window_coverage(last_points));
             }
             ShardCmd::Snapshot { reply } => {
                 let response = match &failed {

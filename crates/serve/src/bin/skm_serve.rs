@@ -18,14 +18,17 @@
 //!
 //! `serve` blocks until a client sends `{"Shutdown":{}}`. At most
 //! `--max-resident` tenant streams stay in memory; with `--snapshot-dir`
-//! the least-recently-used tenant is paged out to disk (and restored
-//! transparently on next touch), without it the cap is a hard limit.
+//! the coldest tenant (the fewest recent touches, the least recently
+//! touched among equals) is paged out to disk (and restored transparently
+//! on next touch), without it the cap is a hard limit.
 //! `--wal-dir` attaches a per-tenant write-ahead log: every accepted
 //! mutation is logged before it is applied, group-committed every
 //! `--fsync-ms` milliseconds (0 = fsync every append), folded into
 //! incremental checkpoints, and replayed bit-identically on restart. The
 //! log directory then supersedes eviction files as the paging store, and
-//! the server accepts `Replicate` subscriptions from followers.
+//! the server accepts `Replicate` subscriptions from followers. Paging a
+//! clean tenant (nothing logged since its checkpoint) in or out writes
+//! nothing to its log.
 //! `--idle-evict-secs N` pages out tenants untouched for N seconds.
 //!
 //! `follow` runs a read-only replica: it tails the primary's replication

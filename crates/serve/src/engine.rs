@@ -1,6 +1,7 @@
 //! The [`Engine`] facade: a concurrent map of per-tenant streams, each one
 //! a clusterer behind its own mutex for writes and an atomically swapped
-//! published snapshot for reads, plus snapshot/restore and LRU eviction.
+//! published snapshot for reads, plus snapshot/restore and frequency-aware
+//! eviction.
 //!
 //! The engine is what connection handler threads talk to. Each **tenant**
 //! (wire-level `namespace`) owns an independent stream: either a
@@ -39,16 +40,22 @@
 //! ## Eviction
 //!
 //! The engine holds at most `max_resident` tenants in memory. When a new
-//! tenant would exceed the cap, the least-recently-touched resident is
-//! paged out: its complete state is snapshotted to
-//! `<dir>/tenant-<namespace>.json` (the same versioned JSON envelope as an
-//! explicit snapshot) and it is dropped from the map. With a write-ahead
-//! log, paging out is "checkpoint and drop" instead. The next request
-//! that names the evicted tenant transparently restores it from that file
-//! or log and continues the stream **bit-identically** — evict → restore →
-//! continue equals never having evicted, including the republished epoch.
-//! Without an eviction directory or a log the cap is a hard limit
-//! (`tenant_limit`).
+//! tenant would exceed the cap, the coldest resident is paged out: the one
+//! with the smallest touch count, aged by halving every count each
+//! [`AGING_TOUCHES`] touches of the engine's logical clock, and among
+//! equal counts the least recently touched. A paged-out tenant's count is
+//! kept, so a hot tenant paged out once comes back hot. Its complete state
+//! is snapshotted to `<dir>/tenant-<namespace>.json` (the same versioned
+//! JSON envelope as an explicit snapshot) and it is dropped from the map.
+//! With a write-ahead log, paging out is "checkpoint and drop" instead, and
+//! a clean tenant (nothing logged since its checkpoint) is just dropped:
+//! paging a clean tenant in and out writes nothing to its log. The next
+//! request that names the evicted tenant transparently restores it from
+//! that file or log and continues the stream **bit-identically** — evict →
+//! restore → continue equals never having evicted, including the
+//! republished epoch. Without an eviction directory or a log the cap is a
+//! hard limit (`tenant_limit`). [`Engine::residency`] counts page-ins and
+//! page-outs.
 //!
 //! Snapshots serialize the complete backend state — configuration, coreset
 //! tree levels, caches, partially filled buckets and RNG positions — into a
@@ -91,6 +98,11 @@ pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Default cap on resident (in-memory) tenants.
 pub const DEFAULT_MAX_RESIDENT: usize = 64;
+
+/// Engine-clock touches between two halvings of every tenant's touch
+/// count: the window over which page-out victim selection remembers
+/// frequency.
+pub const AGING_TOUCHES: u64 = 2048;
 
 /// RNG seed recorded in the derived default spec when an engine is
 /// cold-started from a snapshot (the backend's own RNG state is restored
@@ -634,8 +646,11 @@ struct Tenant {
     /// so no update can land on a zombie copy after its state went to
     /// disk.
     evicted: AtomicBool,
-    /// Engine-clock timestamp of the last touch (LRU victim selection).
+    /// Engine-clock tick of the last touch: the recency tie-break of
+    /// victim selection and the tick `touches` was last aged to.
     last_touch: AtomicU64,
+    /// Touch count, aged to `last_touch` (see [`Heat`]).
+    touches: AtomicU64,
     /// Milliseconds since engine start at the last touch (idle eviction).
     last_touch_ms: AtomicU64,
     /// This tenant's write-ahead log, when the engine runs with one.
@@ -663,6 +678,7 @@ impl Tenant {
             shards,
             evicted: AtomicBool::new(false),
             last_touch: AtomicU64::new(0),
+            touches: AtomicU64::new(0),
             last_touch_ms: AtomicU64::new(0),
             wal: None,
             arrivals: Mutex::new(ArrivalLog::default()),
@@ -684,6 +700,13 @@ impl Tenant {
     /// serving.
     fn lock(&self) -> MutexGuard<'_, Backend> {
         self.backend.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn heat(&self) -> Heat {
+        Heat {
+            count: self.touches.load(Ordering::Relaxed),
+            last_touch: self.last_touch.load(Ordering::Relaxed),
+        }
     }
 
     /// Builds this tenant's versioned envelope. Caller holds the backend
@@ -790,6 +813,69 @@ impl Tenant {
     }
 }
 
+/// A tenant's touch record: its touch count, aged to its last touch, and
+/// that touch's engine-clock tick. The page-out victim is the resident with
+/// the smallest `(aged count, last touch)`.
+#[derive(Debug, Clone, Copy)]
+struct Heat {
+    count: u64,
+    last_touch: u64,
+}
+
+impl Heat {
+    /// The count aged to engine-clock tick `now`: halved once for every
+    /// multiple of [`AGING_TOUCHES`] passed since the last touch (none when
+    /// a concurrent touch stamped a later tick).
+    fn count_at(self, now: u64) -> u64 {
+        let halvings = (now / AGING_TOUCHES).saturating_sub(self.last_touch / AGING_TOUCHES);
+        u32::try_from(halvings)
+            .ok()
+            .and_then(|h| self.count.checked_shr(h))
+            .unwrap_or(0)
+    }
+}
+
+/// Tenant paging counts since the engine was built ([`Engine::residency`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Residency {
+    /// Tenants rebuilt from their on-disk state (a checkpoint or an
+    /// eviction file), startup recovery included.
+    pub page_ins: u64,
+    /// Tenants paged out, by the resident cap or the idle sweep.
+    pub page_outs: u64,
+    /// The page-outs that wrote nothing: WAL tenants with nothing logged
+    /// since their checkpoint.
+    pub clean_page_outs: u64,
+}
+
+/// Everything behind the engine's map lock: the resident tenants, the
+/// touch records of paged-out ones and the paging counts. Touches run
+/// under the read lock; paging, which changes all three, under the write
+/// lock.
+#[derive(Debug, Default)]
+struct TenantMap {
+    resident: HashMap<String, Arc<Tenant>>,
+    /// Touch records of paged-out tenants, handed back at page-in. A
+    /// record is dropped only once its count has aged to 0, so the map
+    /// holds the tenants touched in the last few aging periods, however
+    /// many ever existed.
+    paged_out: HashMap<String, Heat>,
+    /// The aging period `paged_out` was last swept in.
+    swept: u64,
+    residency: Residency,
+}
+
+impl TenantMap {
+    fn holding(tenant: Tenant) -> Self {
+        let mut resident = HashMap::new();
+        resident.insert(tenant.namespace.clone(), Arc::new(tenant));
+        TenantMap {
+            resident,
+            ..TenantMap::default()
+        }
+    }
+}
+
 /// What applying one record produced: the answer of the live request that
 /// logged it.
 enum Applied {
@@ -843,7 +929,7 @@ impl Applied {
 /// while holding a tenant's backend mutex.
 #[derive(Debug)]
 pub struct Engine {
-    tenants: RwLock<HashMap<String, Arc<Tenant>>>,
+    tenants: RwLock<TenantMap>,
     /// Spec used for every lazily created tenant (and the eagerly created
     /// default tenant).
     default_spec: EngineSpec,
@@ -852,7 +938,9 @@ pub struct Engine {
     /// Where evicted tenants are paged out to; `None` makes the cap a hard
     /// limit.
     evict_dir: Option<PathBuf>,
-    /// Monotone logical clock stamping tenant touches for LRU.
+    /// Monotone logical clock stamping tenant touches: victim selection
+    /// and the aging of touch counts read it, never wall time, so a
+    /// single-connection run pages deterministically.
     clock: AtomicU64,
     /// Durability settings. `Some` attaches a per-tenant write-ahead log
     /// and makes the log directory the single on-disk source of truth
@@ -893,10 +981,8 @@ impl Engine {
         evict_dir: Option<PathBuf>,
     ) -> Result<Self> {
         let default_tenant = Tenant::create(DEFAULT_NAMESPACE, spec)?;
-        let mut map = HashMap::new();
-        map.insert(DEFAULT_NAMESPACE.to_string(), Arc::new(default_tenant));
         Ok(Engine {
-            tenants: RwLock::new(map),
+            tenants: RwLock::new(TenantMap::holding(default_tenant)),
             default_spec: *spec,
             max_resident: max_resident.max(1),
             evict_dir,
@@ -931,15 +1017,13 @@ impl Engine {
         let root = config.dir.clone();
         std::fs::create_dir_all(&root).map_err(|e| wal_err(WalError::Io(e)))?;
         self.wal = Some(config);
-        let default_tenant =
-            Arc::new(self.create_or_recover(DEFAULT_NAMESPACE, &self.default_spec)?);
+        let (default_tenant, _) = self.create_or_recover(DEFAULT_NAMESPACE, &self.default_spec)?;
         {
             let mut map = self.write_map();
             // Drop the constructor's fresh default tenant in favour of the
             // recovered one.
-            map.clear();
-            self.touch(&default_tenant);
-            map.insert(DEFAULT_NAMESPACE.to_string(), default_tenant);
+            map.resident.clear();
+            self.admit(&mut map, default_tenant);
         }
         let mut others = Vec::new();
         for entry in std::fs::read_dir(&root).map_err(|e| wal_err(WalError::Io(e)))? {
@@ -968,10 +1052,11 @@ impl Engine {
     /// same code paths that produced it, bit-identical to the
     /// uninterrupted run. A brand-new tenant writes **checkpoint 0**
     /// immediately — the fresh snapshot carries its configuration and
-    /// seed, so recovery never needs a special "empty log" state.
-    fn create_or_recover(&self, namespace: &str, spec: &EngineSpec) -> Result<Tenant> {
+    /// seed, so recovery never needs a special "empty log" state. Returns
+    /// the tenant and whether it was restored from a checkpoint.
+    fn create_or_recover(&self, namespace: &str, spec: &EngineSpec) -> Result<(Tenant, bool)> {
         let Some(cfg) = &self.wal else {
-            return Tenant::create(namespace, spec);
+            return Ok((Tenant::create(namespace, spec)?, false));
         };
         let recovered = Wal::open(cfg.tenant_dir(namespace), cfg.options()).map_err(wal_err)?;
         let skm_wal::Recovered {
@@ -979,6 +1064,7 @@ impl Engine {
             checkpoint,
             tail,
         } = recovered;
+        let restored = checkpoint.is_some();
         let mut tenant = match checkpoint {
             Some((_, blob)) => Tenant::from_checkpoint(&blob, namespace)?,
             None => {
@@ -1013,7 +1099,7 @@ impl Engine {
             }
         }
         tenant.wal = Some(Mutex::new(wal));
-        Ok(tenant)
+        Ok((tenant, restored))
     }
 
     /// Applies one record to a backend and returns what the live request
@@ -1082,22 +1168,38 @@ impl Engine {
     /// order.
     #[must_use]
     pub fn resident_tenants(&self) -> Vec<String> {
-        self.read_map().keys().cloned().collect()
+        self.read_map().resident.keys().cloned().collect()
     }
 
-    fn read_map(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, Arc<Tenant>>> {
+    /// Tenant paging counts since this engine was built.
+    #[must_use]
+    pub fn residency(&self) -> Residency {
+        self.read_map().residency
+    }
+
+    fn read_map(&self) -> std::sync::RwLockReadGuard<'_, TenantMap> {
         self.tenants.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write_map(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<String, Arc<Tenant>>> {
+    fn write_map(&self) -> std::sync::RwLockWriteGuard<'_, TenantMap> {
         self.tenants.write().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Stamps one touch: the logical clock ticks, the tenant's count is
+    /// aged to the new tick and bumped, and the idle clock is stamped.
+    /// Lock-free and allocation-free. Callers hold the map lock, read or
+    /// write, so a victim scan under the write lock sees no touch half
+    /// done.
     fn touch(&self, tenant: &Tenant) {
-        tenant.last_touch.store(
-            self.clock.fetch_add(1, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
+        let now = self.clock.fetch_add(1, Ordering::Relaxed);
+        // A concurrent touch may have stamped a later tick: `fetch_max`
+        // keeps the stamp monotone and `count_at` then halves nothing.
+        let last_touch = tenant.last_touch.fetch_max(now, Ordering::Relaxed);
+        let _ = tenant
+            .touches
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |count| {
+                Some(Heat { count, last_touch }.count_at(now).saturating_add(1))
+            });
         tenant.last_touch_ms.store(self.now_ms(), Ordering::Relaxed);
     }
 
@@ -1120,18 +1222,25 @@ impl Engine {
             .map(|d| d.join(evict_file_name(namespace)))
     }
 
-    /// Pages one resident tenant out to disk. With a WAL this is
-    /// "checkpoint and drop" — a binary checkpoint, after which the
-    /// tenant's log directory holds everything; without one the state goes
-    /// to a JSON eviction file. The caller holds the map write lock and
-    /// removes the victim afterwards.
-    fn page_out(&self, victim: &Tenant) -> Result<()> {
+    /// Pages one resident tenant out to disk and returns whether it was
+    /// clean. With a WAL this is "checkpoint and drop" — a binary
+    /// checkpoint, after which the tenant's log directory holds
+    /// everything — and a clean tenant, with nothing logged since its
+    /// checkpoint, is dropped without writing: every mutation is logged,
+    /// so that checkpoint already holds its whole state and published
+    /// answer. Without a WAL the state goes to a JSON eviction file. The
+    /// caller holds the map write lock and removes the victim afterwards.
+    fn page_out(&self, victim: &Tenant) -> Result<bool> {
         // Snapshot and flag under the victim's backend lock: every
         // operation that raced us either completed before the snapshot
         // (and is in it) or will observe `evicted` and retry through the
         // map (and the restore).
         let mut guard = victim.lock();
-        if victim.checkpoint(&mut guard)?.is_none() {
+        let clean = victim.wal.as_ref().is_some_and(|wal| {
+            let wal = wal.lock().unwrap_or_else(PoisonError::into_inner);
+            wal.last_seq() == wal.checkpoint_seq()
+        });
+        if !clean && victim.checkpoint(&mut guard)?.is_none() {
             let Some(path) = self.evict_path(&victim.namespace) else {
                 return Err(ClusteringError::InvalidParameter {
                     name: "tenant_limit",
@@ -1152,24 +1261,62 @@ impl Engine {
             std::fs::write(&path, json).map_err(write_err)?;
         }
         victim.evicted.store(true, Ordering::Release);
+        Ok(clean)
+    }
+
+    /// Pages `victim` out, drops it from the map and files its touch
+    /// record with the paged-out ones, sweeping out the records that have
+    /// aged to 0 once per aging period. Caller holds the map write lock.
+    fn evict(&self, map: &mut TenantMap, victim: &Tenant) -> Result<()> {
+        let clean = self.page_out(victim)?;
+        map.resident.remove(&victim.namespace);
+        map.residency.page_outs += 1;
+        map.residency.clean_page_outs += u64::from(clean);
+        let now = self.clock.load(Ordering::Relaxed);
+        if now / AGING_TOUCHES > map.swept {
+            map.swept = now / AGING_TOUCHES;
+            map.paged_out.retain(|_, heat| heat.count_at(now) > 0);
+        }
+        map.paged_out
+            .insert(victim.namespace.clone(), victim.heat());
         Ok(())
     }
 
-    /// Evicts least-recently-touched tenants until a new one fits under
-    /// the cap. Caller holds the map write lock.
-    fn make_room(&self, map: &mut HashMap<String, Arc<Tenant>>) -> Result<()> {
-        while map.len() >= self.max_resident {
+    /// Makes `tenant` resident with the touch record it left at its last
+    /// page-out, if any, and stamps this touch. Caller holds the map write
+    /// lock.
+    fn admit(&self, map: &mut TenantMap, tenant: Tenant) -> Arc<Tenant> {
+        if let Some(heat) = map.paged_out.remove(&tenant.namespace) {
+            tenant.touches.store(heat.count, Ordering::Relaxed);
+            tenant.last_touch.store(heat.last_touch, Ordering::Relaxed);
+        }
+        let tenant = Arc::new(tenant);
+        self.touch(&tenant);
+        map.resident
+            .insert(tenant.namespace.clone(), Arc::clone(&tenant));
+        tenant
+    }
+
+    /// Pages out the coldest residents until a new tenant fits under the
+    /// cap: the smallest aged touch count, and among equal counts the
+    /// least recently touched. Caller holds the map write lock.
+    fn make_room(&self, map: &mut TenantMap) -> Result<()> {
+        while map.resident.len() >= self.max_resident {
+            let now = self.clock.load(Ordering::Relaxed);
             let Some(victim) = map
+                .resident
                 .values()
-                .min_by_key(|t| t.last_touch.load(Ordering::Relaxed))
+                .min_by_key(|t| {
+                    let heat = t.heat();
+                    (heat.count_at(now), heat.last_touch)
+                })
                 .cloned()
             else {
                 // `len >= cap >= 1` makes the map non-empty here; if that
                 // invariant ever breaks, stop evicting rather than spin.
                 return Ok(());
             };
-            self.page_out(&victim)?;
-            map.remove(&victim.namespace);
+            self.evict(map, &victim)?;
         }
         Ok(())
     }
@@ -1195,6 +1342,7 @@ impl Engine {
         let max_idle_ms = u64::try_from(max_idle.as_millis()).unwrap_or(u64::MAX);
         let mut map = self.write_map();
         let victims: Vec<Arc<Tenant>> = map
+            .resident
             .values()
             .filter(|t| {
                 now_ms.saturating_sub(t.last_touch_ms.load(Ordering::Relaxed)) > max_idle_ms
@@ -1203,27 +1351,26 @@ impl Engine {
             .collect();
         let mut paged_out = Vec::with_capacity(victims.len());
         for victim in victims {
-            self.page_out(&victim)?;
-            map.remove(&victim.namespace);
+            self.evict(&mut map, &victim)?;
             paged_out.push(victim.namespace.clone());
         }
         Ok(paged_out)
     }
 
     /// Fetches (lazily creating or restoring) the tenant for `namespace`
-    /// and stamps its LRU touch.
+    /// and stamps its touch.
     fn tenant(&self, namespace: &str) -> Result<Arc<Tenant>> {
         validate_namespace(namespace).map_err(Self::bad_namespace)?;
         {
             let map = self.read_map();
-            if let Some(tenant) = map.get(namespace) {
+            if let Some(tenant) = map.resident.get(namespace) {
                 self.touch(tenant);
                 return Ok(Arc::clone(tenant));
             }
         }
         let mut map = self.write_map();
         // Double-check: another thread may have created it between locks.
-        if let Some(tenant) = map.get(namespace) {
+        if let Some(tenant) = map.resident.get(namespace) {
             self.touch(tenant);
             return Ok(Arc::clone(tenant));
         }
@@ -1235,7 +1382,7 @@ impl Engine {
             Some(_) => None,
             None => self.evict_path(namespace).filter(|p| p.exists()),
         };
-        let tenant = match &evicted_file {
+        let (tenant, restored) = match &evicted_file {
             Some(path) => {
                 let text = std::fs::read_to_string(path).map_err(|e| {
                     ClusteringError::InvalidParameter {
@@ -1243,13 +1390,12 @@ impl Engine {
                         message: format!("restoring tenant `{namespace}`: {e}"),
                     }
                 })?;
-                Tenant::from_snapshot_text(&text, Some(namespace))?
+                (Tenant::from_snapshot_text(&text, Some(namespace))?, true)
             }
             None => self.create_or_recover(namespace, &self.default_spec)?,
         };
-        let tenant = Arc::new(tenant);
-        self.touch(&tenant);
-        map.insert(namespace.to_string(), Arc::clone(&tenant));
+        map.residency.page_ins += u64::from(restored);
+        let tenant = self.admit(&mut map, tenant);
         // The tenant is resident again; drop the page-out file so disk and
         // map never disagree about where the live state is.
         if let Some(path) = evicted_file {
@@ -1292,7 +1438,7 @@ impl Engine {
             message: format!("tenant `{namespace}` already exists"),
         };
         let mut map = self.write_map();
-        if map.contains_key(namespace) {
+        if map.resident.contains_key(namespace) {
             return Err(exists(namespace));
         }
         if self.evict_path(namespace).is_some_and(|p| p.exists()) {
@@ -1310,11 +1456,9 @@ impl Engine {
         self.make_room(&mut map)?;
         // `create_or_recover` found no log directory above, so in WAL mode
         // this creates the tenant and writes its checkpoint 0.
-        let tenant = Arc::new(self.create_or_recover(namespace, spec)?);
-        self.touch(&tenant);
-        let shards = tenant.shards;
-        map.insert(namespace.to_string(), tenant);
-        Ok((spec.kind, shards))
+        let (tenant, _) = self.create_or_recover(namespace, spec)?;
+        let tenant = self.admit(&mut map, tenant);
+        Ok((spec.kind, tenant.shards))
     }
 
     /// Which backend lazily created tenants run (and, for an engine built
@@ -1667,7 +1811,7 @@ impl Engine {
     /// accounting; evicted tenants cost disk, not RAM).
     #[must_use]
     pub fn memory_points(&self) -> usize {
-        let tenants: Vec<Arc<Tenant>> = self.read_map().values().cloned().collect();
+        let tenants: Vec<Arc<Tenant>> = self.read_map().resident.values().cloned().collect();
         tenants
             .iter()
             .map(|t| t.lock().clusterer().memory_points())
@@ -1687,10 +1831,8 @@ impl Engine {
     pub fn from_snapshot_json(text: &str) -> Result<Self> {
         let tenant = Tenant::from_snapshot_text(text, None)?;
         let default_spec = tenant.lock().derived_spec();
-        let mut map = HashMap::new();
-        map.insert(tenant.namespace.clone(), Arc::new(tenant));
         Ok(Engine {
-            tenants: RwLock::new(map),
+            tenants: RwLock::new(TenantMap::holding(tenant)),
             default_spec,
             max_resident: DEFAULT_MAX_RESIDENT,
             evict_dir: None,
@@ -1705,7 +1847,7 @@ impl Engine {
     /// in memory. Diagnostic; the answer can change concurrently.
     #[must_use]
     pub fn is_evicted_to_disk(&self, namespace: &str) -> bool {
-        if self.read_map().contains_key(namespace) {
+        if self.read_map().resident.contains_key(namespace) {
             return false;
         }
         match &self.wal {
@@ -1731,7 +1873,7 @@ impl Engine {
     /// # Errors
     /// Propagates the first sync failure.
     pub fn wal_sync_all(&self) -> Result<()> {
-        let tenants: Vec<Arc<Tenant>> = self.read_map().values().cloned().collect();
+        let tenants: Vec<Arc<Tenant>> = self.read_map().resident.values().cloned().collect();
         for tenant in tenants {
             if let Some(wal) = &tenant.wal {
                 wal.lock()
@@ -1882,9 +2024,8 @@ impl Engine {
     /// Returns [`ClusteringError::InvalidParameter`] for unparseable
     /// snapshots.
     pub fn install_replica_snapshot_in(&self, namespace: &str, snapshot: &str) -> Result<()> {
-        let tenant = Arc::new(Tenant::from_snapshot_text(snapshot, Some(namespace))?);
-        self.touch(&tenant);
-        self.write_map().insert(namespace.to_string(), tenant);
+        let tenant = Tenant::from_snapshot_text(snapshot, Some(namespace))?;
+        self.admit(&mut self.write_map(), tenant);
         Ok(())
     }
 
@@ -1892,7 +2033,7 @@ impl Engine {
     /// `recover` report).
     #[must_use]
     pub fn namespaces(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.read_map().keys().cloned().collect();
+        let mut names: Vec<String> = self.read_map().resident.keys().cloned().collect();
         names.sort();
         names
     }
@@ -2479,14 +2620,17 @@ mod tests {
         let engine = Engine::with_options(&spec(BackendKind::Cc), 2, Some(dir.clone())).unwrap();
         feed_in(&engine, "a", 60, 0.0);
         engine.query_in("a", Freshness::Strict).unwrap();
-        // Touch default so `a` is the LRU when `b` arrives.
-        let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
+        // Touch default more often than `a` (61 touches) so `a` is the
+        // coldest when `b` arrives.
+        for _ in 0..100 {
+            let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
+        }
         feed_in(&engine, "b", 20, 0.0);
 
         assert!(engine.is_evicted_to_disk("a"), "a should be paged out");
         assert!(dir.join(evict_file_name("a")).exists());
 
-        // Touching `a` restores it (and pages out the new LRU).
+        // Touching `a` restores it (and pages out the colder `b`).
         assert_eq!(engine.points_seen_in("a").unwrap(), 60);
         assert!(!dir.join(evict_file_name("a")).exists());
         // Epoch continuity across the round trip.
@@ -2814,7 +2958,10 @@ mod tests {
             .unwrap();
         feed_in(&engine, "a", 60, 0.0);
         engine.query_in("a", Freshness::Strict).unwrap();
-        let _ = engine.points_seen_in(DEFAULT_NAMESPACE); // make default the MRU
+        // Make default hotter than `a` (61 touches).
+        for _ in 0..100 {
+            let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
+        }
         feed_in(&engine, "b", 20, 0.0); // pages `a` out
 
         assert!(engine.is_evicted_to_disk("a"));
@@ -2828,6 +2975,35 @@ mod tests {
 
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&evict).ok();
+    }
+
+    #[test]
+    fn paged_out_touch_records_are_kept_until_they_age_to_zero() {
+        let dir = temp_dir("touch-records");
+        let engine = Engine::with_options(&spec(BackendKind::Cc), 1, Some(dir.clone())).unwrap();
+        for _ in 0..50 {
+            engine.points_seen_in("hot").unwrap();
+        }
+        // Three aging periods of tenants touched once each: every one is
+        // paged out by the next, and its record of 1 ages to 0 at the next
+        // period boundary, so at most one period's worth is kept.
+        let period = usize::try_from(AGING_TOUCHES).unwrap();
+        let once = 3 * period;
+        for i in 0..once {
+            engine.points_seen_in(&format!("t{i}")).unwrap();
+        }
+        let map = engine.read_map();
+        assert!(
+            map.paged_out.len() <= period + 1,
+            "{} records kept",
+            map.paged_out.len()
+        );
+        // `hot`'s 50, halved three times, is not 0 yet: still remembered.
+        let now = engine.clock.load(Ordering::Relaxed);
+        assert_eq!(map.paged_out.get("hot").map(|h| h.count_at(now)), Some(6));
+        assert_eq!(map.residency.page_outs, u64::try_from(once).unwrap() + 1);
+        drop(map);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

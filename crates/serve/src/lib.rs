@@ -25,14 +25,17 @@
 //!   available), each behind its own mutex for writes and strict reads
 //!   with an atomically swapped published snapshot for cached reads.
 //!   Tenants are created lazily (or via `Configure` with custom
-//!   settings), and an LRU policy pages idle tenants out to versioned
-//!   JSON snapshots on disk and restores them bit-identically on next
-//!   touch. The same envelope serves explicit snapshot/restore of the
-//!   complete state (configuration, coreset tree levels, caches, partial
-//!   buckets, RNG positions, published epoch). With a write-ahead log
+//!   settings), and the coldest tenants (aged touch counts, recency
+//!   breaking ties) are paged out to versioned JSON snapshots on disk and
+//!   restored bit-identically on next touch. The same envelope serves
+//!   explicit snapshot/restore of the complete state (configuration,
+//!   coreset tree levels, caches, partial buckets, RNG positions,
+//!   published epoch). With a write-ahead log
 //!   attached ([`engine::WalConfig`], `skm-wal`), every state-mutating
 //!   request is logged before it applies, group-committed, periodically
-//!   checkpointed, and recovered bit-identically after a crash.
+//!   checkpointed, and recovered bit-identically after a crash; the log
+//!   is then the paging store, and paging a clean tenant in or out
+//!   writes nothing to it.
 //! * [`follower`] — follower replicas: a background thread
 //!   ([`start_follower`]) tails a WAL-enabled primary's `Replicate`
 //!   stream and applies it to a read-only engine

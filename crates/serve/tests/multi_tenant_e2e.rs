@@ -342,10 +342,10 @@ fn the_tenant_limit_is_a_typed_error_without_an_eviction_directory() {
 
 #[test]
 fn eviction_and_restore_are_transparent_under_live_traffic() {
-    // Cap 2 with an eviction directory: ping-ponging between tenants pages
+    // Cap 1 with an eviction directory: ping-ponging between tenants pages
     // them in and out underneath the protocol without any visible effect.
     let dir = temp_dir("live");
-    let engine = Arc::new(Engine::with_options(&spec(), 2, Some(dir.clone())).unwrap());
+    let engine = Arc::new(Engine::with_options(&spec(), 1, Some(dir.clone())).unwrap());
     let handle = Server::bind("127.0.0.1:0", Arc::clone(&engine), None)
         .unwrap()
         .spawn()
@@ -357,11 +357,8 @@ fn eviction_and_restore_are_transparent_under_live_traffic() {
     feed_opts(&mut client, &hot, 40, 0.0);
     let hot_before = sorted(centers_opts(&mut client, &hot));
 
-    // Creating `cold` forces an eviction (cap 2: default + one): the
-    // victim is whichever of {default, hot} is colder — touch default so
-    // `hot` is paged out.
-    let mut plain = Client::connect(handle.addr()).unwrap();
-    let _ = plain.query(); // touches default (EmptyStream is fine)
+    // Creating `cold` forces an eviction (cap 1): `hot`, the only
+    // resident, is paged out.
     feed_opts(&mut client, &cold, 20, 1000.0);
     assert!(engine.is_evicted_to_disk("hot"));
 

@@ -1,13 +1,20 @@
-//! Acceptance for snapshot-backed tenant eviction: paging a tenant out to
-//! disk and transparently restoring it on the next touch must be invisible
-//! to the tenant — bit-identical centers, continued epoch sequence — and
-//! the LRU policy must pick the coldest resident tenant.
+//! Acceptance for tenant eviction: paging a tenant out to disk and
+//! transparently restoring it on the next touch must be invisible to the
+//! tenant — bit-identical centers, continued epoch sequence — on every
+//! backend, through eviction files and through a write-ahead log. The
+//! victim is the coldest resident: the smallest touch count, aged by
+//! halving every [`AGING_TOUCHES`] touches, and among equal counts the
+//! least recently touched. Paging a clean WAL tenant in and out writes
+//! nothing to its log.
 
-use skm_serve::engine::{evict_file_name, BackendKind, Engine, EngineSpec};
+use skm_serve::engine::{
+    evict_file_name, BackendKind, Engine, EngineSpec, Residency, WalConfig, AGING_TOUCHES,
+};
 use skm_serve::protocol::{Freshness, DEFAULT_NAMESPACE};
 use skm_serve::{Client, RequestOptions, Response, Server};
 use skm_stream::StreamConfig;
-use std::path::PathBuf;
+use std::collections::{BTreeMap, HashSet};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,8 +68,8 @@ fn evict_restore_continue_is_bit_identical_to_an_uninterrupted_twin() {
 
         // Twin B: never evicted (cap high enough for everything).
         let twin = Engine::with_options(&spec, 64, None).unwrap();
-        // Engine A: cap 2 (default + one more), eviction directory set.
-        let engine = Engine::with_options(&spec, 2, Some(dir.clone())).unwrap();
+        // Engine A: cap 1, eviction directory set.
+        let engine = Engine::with_options(&spec, 1, Some(dir.clone())).unwrap();
 
         // Identical prefix into tenant `x` on both, with a mid-stream
         // strict query so the published epoch is non-zero before eviction.
@@ -73,9 +80,8 @@ fn evict_restore_continue_is_bit_identical_to_an_uninterrupted_twin() {
         assert_eq!(a1.centers, b1.centers, "({seed},{shards},{batch}) prefix");
         assert_eq!(a1.epoch, 1);
 
-        // Make `x` the LRU on A (touch default), then create `y`: the map
-        // is at its cap, so `x` is paged out to disk.
-        let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
+        // Create `y`: `x` is the only resident, so it is paged out to
+        // disk.
         engine.ingest_in("y", &point(0, 500.0)).unwrap();
         assert!(
             engine.is_evicted_to_disk("x"),
@@ -119,11 +125,11 @@ fn single_threaded_backends_survive_eviction_bit_identically() {
         let dir = temp_dir(&format!("kind-{}", kind.tag()));
         let spec = spec(kind, 7, 2, 8);
         let twin = Engine::with_options(&spec, 64, None).unwrap();
-        let engine = Engine::with_options(&spec, 2, Some(dir.clone())).unwrap();
+        // Cap 1: `x` is the only resident when `y` arrives.
+        let engine = Engine::with_options(&spec, 1, Some(dir.clone())).unwrap();
 
         feed_range(&engine, "x", 0..90, 0.0);
         feed_range(&twin, "x", 0..90, 0.0);
-        let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
         engine.ingest_in("y", &point(0, 500.0)).unwrap();
         assert!(engine.is_evicted_to_disk("x"), "{kind:?}");
 
@@ -138,26 +144,276 @@ fn single_threaded_backends_survive_eviction_bit_identically() {
     }
 }
 
-/// The LRU policy pages out the least-recently-touched tenant, not an
-/// arbitrary one.
+/// Touches `namespace` `n` times without changing its state.
+fn touch(engine: &Engine, namespace: &str, n: usize) {
+    for _ in 0..n {
+        engine.points_seen_in(namespace).unwrap();
+    }
+}
+
+fn resident(engine: &Engine, namespace: &str) -> bool {
+    engine.resident_tenants().iter().any(|n| n == namespace)
+}
+
+/// Frequency beats recency: a tenant touched once, however recently,
+/// goes before one touched often.
 #[test]
-fn the_least_recently_touched_tenant_is_the_victim() {
-    let dir = temp_dir("lru-victim");
+fn a_tenant_touched_often_outlives_one_touched_once_more_recently() {
+    let dir = temp_dir("freq-victim");
     // Cap 3: default + two more stay resident.
     let engine =
         Engine::with_options(&spec(BackendKind::Cc, 7, 1, 8), 3, Some(dir.clone())).unwrap();
-    feed_range(&engine, "a", 0..30, 0.0);
-    feed_range(&engine, "b", 0..30, 100.0);
-    // Touch order now (coldest first): default, a, b. Refresh default so
-    // `a` becomes the coldest resident — and therefore the victim.
-    let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
-    engine.ingest_in("c", &point(0, 200.0)).unwrap();
-    assert!(engine.is_evicted_to_disk("a"), "expected `a` paged out");
-    assert!(!engine.is_evicted_to_disk("b"));
-    let resident = engine.resident_tenants();
-    assert!(resident.contains(&"b".to_string()), "{resident:?}");
-    assert!(resident.contains(&"c".to_string()), "{resident:?}");
+    touch(&engine, "hot", 10);
+    touch(&engine, DEFAULT_NAMESPACE, 5);
+    touch(&engine, "once", 1);
+    // LRU would page `hot` out here; `once` has the smallest count.
+    touch(&engine, "new", 1);
+    assert!(
+        engine.is_evicted_to_disk("once"),
+        "expected `once` paged out"
+    );
+    for namespace in ["hot", DEFAULT_NAMESPACE, "new"] {
+        assert!(resident(&engine, namespace), "{namespace}");
+    }
+    assert_eq!(engine.residency().page_outs, 1);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With equal counts the policy is LRU.
+#[test]
+fn with_equal_counts_the_least_recently_touched_tenant_is_the_victim() {
+    let dir = temp_dir("lru-tie");
+    let engine =
+        Engine::with_options(&spec(BackendKind::Cc, 7, 1, 8), 3, Some(dir.clone())).unwrap();
+    touch(&engine, "a", 3);
+    touch(&engine, "b", 3);
+    touch(&engine, DEFAULT_NAMESPACE, 3);
+    touch(&engine, "c", 1);
+    assert!(engine.is_evicted_to_disk("a"), "expected `a` paged out");
+    for namespace in ["b", DEFAULT_NAMESPACE, "c"] {
+        assert!(resident(&engine, namespace), "{namespace}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Counts age: a tenant that was hot and went quiet becomes the victim
+/// once its count has halved below the tenants still in use.
+#[test]
+fn a_formerly_hot_tenant_that_goes_quiet_becomes_the_victim() {
+    let dir = temp_dir("aged-victim");
+    let engine =
+        Engine::with_options(&spec(BackendKind::Cc, 7, 1, 8), 3, Some(dir.clone())).unwrap();
+    touch(&engine, "hot", 50);
+    touch(&engine, "warm", 5);
+    touch(&engine, "first", 1);
+    assert!(engine.is_evicted_to_disk(DEFAULT_NAMESPACE));
+    assert!(resident(&engine, "hot"), "hot while hot");
+    // Four aging periods of traffic elsewhere halve `hot`'s 50 four times,
+    // to 3, while `warm` and `first` gather about 2,000 each.
+    for _ in 0..2 * AGING_TOUCHES {
+        touch(&engine, "warm", 1);
+        touch(&engine, "first", 1);
+    }
+    touch(&engine, "second", 1);
+    assert!(engine.is_evicted_to_disk("hot"), "expected `hot` paged out");
+    assert!(resident(&engine, "warm") && resident(&engine, "first"));
+    assert_eq!(engine.residency().page_outs, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A paged-out tenant keeps its count: a hot tenant paged out once comes
+/// back hot, so the next miss pages out a colder tenant instead. Had the
+/// page-out forgotten its count, `hot` would come back with 1 touch and
+/// be the next victim.
+#[test]
+fn a_hot_tenant_paged_out_once_keeps_its_count() {
+    let dir = temp_dir("kept-count");
+    let engine =
+        Engine::with_options(&spec(BackendKind::Cc, 7, 1, 8), 2, Some(dir.clone())).unwrap();
+    touch(&engine, "hot", 50);
+    // The idle sweep pages out everything untouched for over 0 ms.
+    std::thread::sleep(Duration::from_millis(5));
+    let mut swept = engine.evict_idle(Duration::ZERO).unwrap();
+    swept.sort();
+    assert_eq!(swept, vec![DEFAULT_NAMESPACE, "hot"]);
+    touch(&engine, "a", 5);
+    touch(&engine, "hot", 1);
+    touch(&engine, "b", 1);
+    assert!(engine.is_evicted_to_disk("a"), "expected `a` paged out");
+    assert!(resident(&engine, "hot"), "`hot` lost its count at page-out");
+    assert_eq!(
+        engine.residency(),
+        Residency {
+            page_ins: 1,
+            page_outs: 3,
+            clean_page_outs: 0,
+        }
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// On a skewed trace shaped like the tenants-wal benchmark's (32 tenants,
+/// Zipf(1.5), 8 resident) the aged-frequency policy pages in fewer
+/// tenants than LRU does on the same trace.
+#[test]
+fn on_a_zipf_trace_the_engine_pages_in_fewer_tenants_than_lru() {
+    const TENANTS: usize = 32;
+    const CAP: usize = 8;
+    const TOUCHES: usize = 20_000;
+    let weights: Vec<f64> = (1..=TENANTS).map(|r| (r as f64).powf(-1.5)).collect();
+    let total: f64 = weights.iter().sum();
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let trace: Vec<String> = (0..TOUCHES)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let mut u = (state >> 11) as f64 / (1u64 << 53) as f64 * total;
+            let rank = weights
+                .iter()
+                .position(|w| {
+                    u -= w;
+                    u < 0.0
+                })
+                .unwrap_or(TENANTS - 1);
+            format!("t{rank}")
+        })
+        .collect();
+
+    // LRU over the same trace, from the engine's start: `default`
+    // resident. A page-in is a miss on a tenant touched before.
+    let mut lru: Vec<&str> = vec![DEFAULT_NAMESPACE];
+    let mut seen = HashSet::new();
+    let mut lru_page_ins = 0u64;
+    for namespace in &trace {
+        match lru.iter().position(|n| n == namespace) {
+            Some(at) => {
+                lru.remove(at);
+            }
+            None => {
+                if lru.len() == CAP {
+                    lru.remove(0);
+                }
+                if seen.contains(namespace) {
+                    lru_page_ins += 1;
+                }
+            }
+        }
+        seen.insert(namespace);
+        lru.push(namespace);
+    }
+
+    let dir = temp_dir("zipf-trace");
+    let engine =
+        Engine::with_options(&spec(BackendKind::Cc, 7, 1, 8), CAP, Some(dir.clone())).unwrap();
+    for namespace in &trace {
+        touch(&engine, namespace, 1);
+    }
+    let page_ins = engine.residency().page_ins;
+    assert!(
+        page_ins < lru_page_ins,
+        "{page_ins} page-ins against LRU's {lru_page_ins}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every file in `dir` by name, with its bytes.
+fn dir_image(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().into_string().unwrap();
+            (name, std::fs::read(entry.path()).unwrap())
+        })
+        .collect()
+}
+
+/// Copies a log root (one directory per tenant) to `to`: what a crash at
+/// this point would leave on disk, since the log only counts on what it
+/// has written.
+fn copy_log_root(from: &Path, to: &Path) {
+    for tenant in std::fs::read_dir(from).unwrap() {
+        let tenant = tenant.unwrap().path();
+        let target = to.join(tenant.file_name().unwrap());
+        std::fs::create_dir_all(&target).unwrap();
+        for (name, bytes) in dir_image(&tenant) {
+            std::fs::write(target.join(name), bytes).unwrap();
+        }
+    }
+}
+
+/// With a write-ahead log, a read-only page-in and the page-out after it
+/// write nothing to the tenant's log, and the tenant still continues
+/// bit-identically — in process, and after a crash right after the skipped
+/// page-out — on all four backends.
+#[test]
+fn clean_wal_tenants_page_in_and_out_without_writing() {
+    for kind in [
+        BackendKind::ShardedCc,
+        BackendKind::Cc,
+        BackendKind::Ct,
+        BackendKind::Rcc,
+    ] {
+        let root = temp_dir(&format!("clean-{}", kind.tag()));
+        std::fs::remove_dir_all(&root).ok();
+        let crashed = root.join("crashed");
+        let wal = WalConfig::new(root.join("log"));
+        let spec = spec(kind, 7, 2, 8);
+        let twin = Engine::with_options(&spec, 64, None).unwrap();
+        // Cap 1: a touch of any other tenant pages `x` out.
+        let engine = Engine::with_options(&spec, 1, None)
+            .unwrap()
+            .with_wal(wal.clone())
+            .unwrap();
+        feed_range(&engine, "x", 0..90, 0.0);
+        feed_range(&twin, "x", 0..90, 0.0);
+        let published = engine.query_in("x", Freshness::Strict).unwrap();
+        twin.query_in("x", Freshness::Strict).unwrap();
+
+        // `x` has logged records since its checkpoint: its page-out
+        // checkpoints it.
+        engine.ingest_in("y", &point(0, 500.0)).unwrap();
+        let image = dir_image(&wal.tenant_dir("x"));
+        // A cached read pages `x` in and changes nothing; paging it out
+        // again skips the checkpoint.
+        let cached = engine.query_in("x", Freshness::Cached).unwrap();
+        assert_eq!(cached, published, "{kind:?}");
+        assert_eq!(dir_image(&wal.tenant_dir("x")), image, "{kind:?}: page-in");
+        engine.ingest_in("y", &point(1, 500.0)).unwrap();
+        assert_eq!(dir_image(&wal.tenant_dir("x")), image, "{kind:?}: page-out");
+        // Page-outs: default (clean, only its checkpoint 0), x (dirty),
+        // y (dirty), x (clean). Page-ins: x, then y.
+        assert_eq!(
+            engine.residency(),
+            Residency {
+                page_ins: 2,
+                page_outs: 4,
+                clean_page_outs: 2,
+            },
+            "{kind:?}"
+        );
+        copy_log_root(&wal.dir, &crashed);
+
+        // Both the live engine and one recovered from the crash image
+        // continue `x` exactly like the twin that never paged.
+        let recovered = Engine::with_options(&spec, 1, None)
+            .unwrap()
+            .with_wal(WalConfig::new(crashed.clone()))
+            .unwrap();
+        feed_range(&twin, "x", 90..200, 0.0);
+        let reference = twin.query_in("x", Freshness::Strict).unwrap();
+        for (engine, label) in [(&engine, "live"), (&recovered, "recovered")] {
+            feed_range(engine, "x", 90..200, 0.0);
+            let answer = engine.query_in("x", Freshness::Strict).unwrap();
+            assert_eq!(answer.centers, reference.centers, "{kind:?} {label}");
+            assert_eq!(answer.epoch, reference.epoch, "{kind:?} {label}");
+            assert_eq!(answer.points_seen, 200, "{kind:?} {label}");
+        }
+
+        drop((engine, recovered));
+        std::fs::remove_dir_all(&root).ok();
+    }
 }
 
 /// Without an eviction directory the resident cap is a hard limit: the
@@ -240,11 +496,11 @@ fn the_server_sweeps_idle_tenants_to_disk_and_restores_them_on_touch() {
 #[test]
 fn cached_reads_survive_eviction() {
     let dir = temp_dir("cached");
+    // Cap 1: `x` is the only resident when `y` arrives.
     let engine =
-        Engine::with_options(&spec(BackendKind::ShardedCc, 7, 2, 8), 2, Some(dir.clone())).unwrap();
+        Engine::with_options(&spec(BackendKind::ShardedCc, 7, 2, 8), 1, Some(dir.clone())).unwrap();
     feed_range(&engine, "x", 0..120, 0.0);
     let published = engine.query_in("x", Freshness::Strict).unwrap();
-    let _ = engine.points_seen_in(DEFAULT_NAMESPACE);
     engine.ingest_in("y", &point(0, 500.0)).unwrap();
     assert!(engine.is_evicted_to_disk("x"));
 

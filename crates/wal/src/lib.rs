@@ -32,7 +32,12 @@
 //! header and written via temp-file + rename, covering every record with
 //! `seq <= N`. [`Wal::checkpoint`] folds the whole sealed prefix into the
 //! checkpoint and deletes the covered segments: compaction truncates the
-//! tail to empty and the log starts a fresh segment.
+//! tail to empty and the next record starts a fresh segment.
+//!
+//! A segment file is created when its first record is written, never
+//! ahead of it: opening a log and dropping it without an append, or
+//! checkpointing it, leaves no empty segment behind. Recovery deletes the
+//! empty trailing segment an earlier build created eagerly.
 //!
 //! ## Durability model
 //!

@@ -105,8 +105,9 @@ pub struct Wal {
     durable_seq: u64,
     /// Sequence number covered by the latest checkpoint (0 = none).
     checkpoint_seq: u64,
-    /// Open segment: handle, first seq, bytes written (header included).
-    file: File,
+    /// Open segment: handle (`None` until [`Wal::sync`] writes its first
+    /// record), first seq, bytes written (header included).
+    file: Option<File>,
     segment_first: u64,
     segment_bytes: u64,
     /// Group-commit buffer of encoded-but-unwritten records.
@@ -370,8 +371,15 @@ impl Wal {
                     ),
                 ));
             }
-            if scanned.records.is_empty() && index == last_index {
-                // An empty trailing segment (fresh roll, nothing written).
+            let record_count = scanned.records.len() as u64;
+            // Nothing to replay: an empty trailing segment (a roll or an
+            // open by an earlier build that nothing was written to), or a
+            // segment the checkpoint covers whole (a compaction whose
+            // deletions had not reached the disk). Covered segments skip
+            // the continuity check: any subset of them may survive.
+            if (record_count == 0 && index == last_index)
+                || first_seq + record_count <= checkpoint_seq + 1
+            {
                 let _ = fs::remove_file(&path);
                 continue;
             }
@@ -384,7 +392,6 @@ impl Wal {
                     ));
                 }
             }
-            let record_count = scanned.records.len() as u64;
             expected_first = Some(first_seq + record_count);
             for (offset, payload) in scanned.records.into_iter().enumerate() {
                 let seq = first_seq + offset as u64;
@@ -400,19 +407,10 @@ impl Wal {
                     next_seq = seq + 1;
                 }
             }
-            // A fully checkpoint-covered segment survived an interrupted
-            // compaction; finish the cleanup.
-            if first_seq + record_count <= checkpoint_seq + 1 {
-                let _ = fs::remove_file(&path);
-            }
         }
 
-        // Always roll a fresh segment: appending resumes in a new file so
-        // the recovered ones stay immutable.
-        let first = next_seq;
-        let file = create_segment(&dir, first)?;
-        sync_dir(&dir);
-
+        // Appending resumes in a new segment, so the recovered ones stay
+        // immutable; it is created when its first record is written.
         let tail_bytes = tail
             .iter()
             .map(|(_, p)| p.len() + RECORD_HEADER_BYTES)
@@ -423,8 +421,8 @@ impl Wal {
             next_seq,
             durable_seq: next_seq - 1,
             checkpoint_seq,
-            file,
-            segment_first: first,
+            file: None,
+            segment_first: next_seq,
             segment_bytes: SEG_HEADER_BYTES as u64,
             buffer: Vec::new(),
             dirty_since: None,
@@ -542,16 +540,26 @@ impl Wal {
     }
 
     /// Forces a group commit: writes the buffer to the open segment and
-    /// `fsync`s it. Returns the new durable sequence number. Seals the
-    /// segment and rolls a fresh one when it has outgrown
-    /// [`WalOptions::segment_bytes`].
+    /// `fsync`s it, creating the segment file first when this is its
+    /// first record. Returns the new durable sequence number. Seals the
+    /// segment once it has outgrown [`WalOptions::segment_bytes`]. With
+    /// nothing buffered it writes nothing.
     ///
     /// # Errors
     /// [`WalError::Io`] on write/sync failure.
     pub fn sync(&mut self) -> Result<u64> {
         if !self.buffer.is_empty() {
-            self.file.write_all(&self.buffer)?;
-            self.file.sync_data()?;
+            let file = match self.file.take() {
+                Some(file) => file,
+                None => {
+                    let file = create_segment(&self.dir, self.segment_first)?;
+                    sync_dir(&self.dir);
+                    file
+                }
+            };
+            let file = self.file.insert(file);
+            file.write_all(&self.buffer)?;
+            file.sync_data()?;
             self.segment_bytes += self.buffer.len() as u64;
             self.buffer.clear();
             self.syncs += 1;
@@ -559,19 +567,17 @@ impl Wal {
         self.dirty_since = None;
         self.durable_seq = self.next_seq - 1;
         if self.segment_bytes >= self.opts.segment_bytes as u64 {
-            self.roll_segment()?;
+            self.seal_segment();
         }
         Ok(self.durable_seq)
     }
 
-    /// Seals the open segment and starts a fresh one at `next_seq`.
-    fn roll_segment(&mut self) -> Result<()> {
-        self.file.sync_data()?;
-        self.file = create_segment(&self.dir, self.next_seq)?;
+    /// Closes the open segment: the next record written starts a fresh
+    /// one at `next_seq`.
+    fn seal_segment(&mut self) {
+        self.file = None;
         self.segment_first = self.next_seq;
         self.segment_bytes = SEG_HEADER_BYTES as u64;
-        sync_dir(&self.dir);
-        Ok(())
     }
 
     /// Compaction: folds everything appended so far into a checkpoint.
@@ -580,8 +586,9 @@ impl Wal {
     /// [`Wal::last_seq`] (the owner produces it while holding the same
     /// lock that serializes appends, so no record can race past it). The
     /// sequence is: group-commit outstanding records, write the
-    /// checkpoint via temp file + rename, delete the covered segments and
-    /// truncate the in-memory tail, then roll a fresh segment.
+    /// checkpoint via temp file + rename, then delete the covered segments
+    /// and truncate the in-memory tail. The next record starts a fresh
+    /// segment.
     ///
     /// # Errors
     /// [`WalError::Io`] on any filesystem failure; the log stays usable
@@ -614,18 +621,12 @@ impl Wal {
         if old_checkpoint != seq {
             let _ = fs::remove_file(self.dir.join(checkpoint_name(old_checkpoint)));
         }
-        // Delete covered segments: every record so far is <= seq, so all
-        // sealed segments go; the open one is replaced by a fresh roll.
-        let covered: Vec<u64> = self.list_segments()?;
-        self.file = create_segment_overwriting(&self.dir, self.next_seq)?;
-        for first in covered {
-            if first != self.next_seq {
-                let _ = fs::remove_file(self.dir.join(segment_name(first)));
-            }
+        // Every record so far is <= seq, so every segment goes, the open
+        // one included. Recovery deletes any that outlive a crash here.
+        self.seal_segment();
+        for first in self.list_segments()? {
+            let _ = fs::remove_file(self.dir.join(segment_name(first)));
         }
-        self.segment_first = self.next_seq;
-        self.segment_bytes = SEG_HEADER_BYTES as u64;
-        sync_dir(&self.dir);
         Ok(seq)
     }
 
@@ -675,33 +676,16 @@ impl Drop for Wal {
     }
 }
 
-/// Creates a fresh segment file (failing if it already exists) and writes
-/// its header.
+/// Creates a fresh segment file and writes and syncs its header.
 fn create_segment(dir: &Path, first_seq: u64) -> Result<File> {
-    open_segment(dir, first_seq, false)
-}
-
-/// Creates a fresh segment file, overwriting an existing one (only used
-/// by [`Wal::checkpoint`], where every prior record is covered).
-fn create_segment_overwriting(dir: &Path, first_seq: u64) -> Result<File> {
-    open_segment(dir, first_seq, true)
-}
-
-fn open_segment(dir: &Path, first_seq: u64, overwrite: bool) -> Result<File> {
     let path = dir.join(segment_name(first_seq));
-    let mut options = OpenOptions::new();
-    options.write(true);
-    if overwrite {
-        options.create(true).truncate(true);
-    } else {
-        options.create_new(true);
-    }
-    let mut file = match options.open(&path) {
+    let mut file = match OpenOptions::new().write(true).create_new(true).open(&path) {
         Ok(file) => file,
         Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-            // Only an empty just-rolled segment can collide (a segment
-            // with records would have advanced next_seq past its name);
-            // replace it.
+            // Only an empty segment can collide (a segment with records
+            // would have advanced next_seq past its name): one an earlier
+            // failed attempt left, or one recovery could not delete.
+            // Replace it.
             OpenOptions::new()
                 .write(true)
                 .create(true)

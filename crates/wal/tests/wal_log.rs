@@ -435,3 +435,138 @@ fn recovery_resumes_appending_after_a_torn_write() {
     assert_eq!(seqs, (1..=8).collect::<Vec<_>>());
     fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Every file in `dir` by name, with its bytes.
+fn dir_image(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().into_string().unwrap(),
+                fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// A segment file's bytes: the `SKMW` header, then each record framed as
+/// `[len][crc32][payload]`.
+fn segment_bytes(first_seq: u64, payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut bytes = b"SKMW".to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&first_seq.to_le_bytes());
+    for payload in payloads {
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&skm_wal::crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+    }
+    bytes
+}
+
+/// Builds the files by hand, in the layout of a build that created each
+/// segment eagerly: a checkpoint covering seq 5, a segment holding the
+/// tail 6..=9, and the empty segment its last open created at seq 10.
+#[test]
+fn a_log_with_an_eagerly_created_empty_segment_recovers_and_appends() {
+    let dir = temp_dir("eager-layout");
+    let blob = b"state-at-5".to_vec();
+    let mut checkpoint = b"SKMC".to_vec();
+    checkpoint.extend_from_slice(&1u32.to_le_bytes());
+    checkpoint.extend_from_slice(&5u64.to_le_bytes());
+    checkpoint.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+    checkpoint.extend_from_slice(&skm_wal::crc32(&blob).to_le_bytes());
+    checkpoint.extend_from_slice(&blob);
+    let tail: Vec<Vec<u8>> = (6..=9).map(payload).collect();
+    fs::write(dir.join(format!("ckpt-{:020}.snap", 5)), &checkpoint).unwrap();
+    fs::write(
+        dir.join(format!("seg-{:020}.wal", 6)),
+        segment_bytes(6, &tail),
+    )
+    .unwrap();
+    fs::write(
+        dir.join(format!("seg-{:020}.wal", 10)),
+        segment_bytes(10, &[]),
+    )
+    .unwrap();
+
+    let recovered = Wal::open(&dir, manual()).unwrap();
+    assert_eq!(recovered.checkpoint, Some((5, blob.clone())));
+    let expected: Vec<(u64, Vec<u8>)> = (6..=9).map(|i| (i, payload(i))).collect();
+    assert_eq!(recovered.tail, expected);
+    assert_eq!(recovered.wal.next_seq(), 10);
+    drop(recovered);
+    // Recovery dropped the empty segment and nothing else; opening and
+    // dropping the log again without an append writes nothing.
+    let image = dir_image(&dir);
+    let names: Vec<&str> = image.keys().map(String::as_str).collect();
+    assert_eq!(
+        names,
+        [
+            "ckpt-00000000000000000005.snap",
+            "seg-00000000000000000006.wal"
+        ]
+    );
+    drop(Wal::open(&dir, manual()).unwrap());
+    assert_eq!(dir_image(&dir), image);
+
+    // The next append starts a fresh segment at seq 10.
+    let mut wal = Wal::open(&dir, manual()).unwrap().wal;
+    assert_eq!(wal.append(&payload(10)).unwrap(), 10);
+    wal.sync().unwrap();
+    drop(wal);
+    assert_eq!(
+        fs::read(dir.join(format!("seg-{:020}.wal", 10))).unwrap(),
+        segment_bytes(10, &[payload(10)])
+    );
+    let again = Wal::open(&dir, manual()).unwrap();
+    let seqs: Vec<u64> = again.tail.iter().map(|(s, _)| *s).collect();
+    assert_eq!(seqs, (6..=10).collect::<Vec<_>>());
+    assert_eq!(again.checkpoint, Some((5, blob)));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A segment the checkpoint covers whole is garbage: recovery deletes
+/// any subset of them that outlived a crash, gaps between them included,
+/// instead of calling the gap corruption.
+#[test]
+fn covered_segments_left_by_an_interrupted_compaction_are_deleted() {
+    let dir = temp_dir("covered-leftovers");
+    let mut wal = Wal::open(&dir, manual()).unwrap().wal;
+    for i in 1..=20u64 {
+        wal.append(&payload(i)).unwrap();
+    }
+    wal.checkpoint(b"state-at-20").unwrap();
+    for i in 21..=22u64 {
+        wal.append(&payload(i)).unwrap();
+    }
+    wal.sync().unwrap();
+    drop(wal);
+    // Segments 1..=10 and 16..=20 survived the compaction, 11..=15 did not.
+    let early: Vec<Vec<u8>> = (1..=10).map(payload).collect();
+    let late: Vec<Vec<u8>> = (16..=20).map(payload).collect();
+    fs::write(
+        dir.join(format!("seg-{:020}.wal", 1)),
+        segment_bytes(1, &early),
+    )
+    .unwrap();
+    fs::write(
+        dir.join(format!("seg-{:020}.wal", 16)),
+        segment_bytes(16, &late),
+    )
+    .unwrap();
+
+    let recovered = Wal::open(&dir, manual()).unwrap();
+    let seqs: Vec<u64> = recovered.tail.iter().map(|(s, _)| *s).collect();
+    assert_eq!(seqs, vec![21, 22]);
+    drop(recovered);
+    let names: Vec<String> = dir_image(&dir).into_keys().collect();
+    assert_eq!(
+        names,
+        [
+            "ckpt-00000000000000000020.snap",
+            "seg-00000000000000000021.wal"
+        ]
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
